@@ -8,6 +8,9 @@ pattern and diagonal dominance by eye, shows the off-diagonal decay, and
 writes the binary system dump used for cross-implementation diffing.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from templap import (
@@ -17,6 +20,7 @@ from templap import (
     assemble_operator,
     assemble_rhs,
     materialize_dense,
+    offdiag_row_sums,
     read_system_dump,
     write_system_dump,
 )
@@ -35,7 +39,7 @@ print(np.array2string(op.diag, precision=4))
 print("\nToeplitz column, lags 1..6 (all negative, decaying like m^-(1+beta)):")
 print(np.array2string(op.toeplitz_col[1:7], precision=6))
 
-surplus = op.diag + op.offdiag_row_sums() - (op.tails_left + op.tails_right)
+surplus = op.diag + offdiag_row_sums(op.toeplitz_col) - (op.tails_left + op.tails_right)
 print(f"\nrow sums minus kernel tails (strict dominance margin): "
       f"min = {surplus.min():.6f} > 0")
 
@@ -46,10 +50,11 @@ print(f"dense symmetric check: {np.array_equal(dense, dense.T)}")
 g = lambda y: np.where((np.asarray(y) >= -0.5) & (np.asarray(y) <= 0.0), 1.0, 0.0)
 boundary = BoundarySpec(exterior_g=g, u_a=1.0, u_b=0.0, support=(-0.5, 1.0))
 F = assemble_rhs(np.ones(grid.M), boundary, params, grid)
-print(f"\nload vector with exterior data (first three rows): {F.values[:3]}")
+print(f"\nload vector with exterior data (first three rows): {F[:3]}")
 
-path = "/tmp/templap_system.tflap"
-write_system_dump(path, op, F)
-diag, col, load = read_system_dump(path)
-print(f"binary dump round trip at {path}: "
-      f"{np.array_equal(diag, op.diag) and np.array_equal(load, F.values)}")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "templap_system.tflap")
+    write_system_dump(path, op, F)
+    diag, col, load = read_system_dump(path)
+print("binary dump round trip: "
+      f"{np.array_equal(diag, op.diag) and np.array_equal(load, F)}")

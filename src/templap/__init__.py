@@ -10,27 +10,21 @@ grid.  The stiffness matrix is diagonal-plus-symmetric-Toeplitz, stored in
 2M floats, with O(M log M) products by FFT; systems are solved by conjugate
 gradients with either a diagonally compensated banded Cholesky
 preconditioner or the closest-circulant (T. Chan) preconditioner.
+
+The names below are the public API; the building blocks behind them
+(closed-form coefficients, quadrature rules, special functions) stay
+importable from their own modules.
 """
 
 from .assembly import (
     BoundarySpec,
-    LoadVector,
     OperatorMatrix,
-    assemble_diagonal,
-    assemble_offdiagonal,
     assemble_operator,
     assemble_rhs,
-    boundary_tail_load,
     materialize_dense,
+    offdiag_row_sums,
     read_system_dump,
     write_system_dump,
-)
-from .coefficients import (
-    coeff_boundary_left,
-    coeff_boundary_right,
-    coeff_near_diag,
-    coeff_pair_sum,
-    coeff_quadrature_oracle,
 )
 from .convergence import (
     ConvergenceReport,
@@ -39,22 +33,14 @@ from .convergence import (
     emit_report,
     error_norms,
     format_report,
-    restrict_to_coarse,
     run_convergence_study,
 )
-from .core import (
-    Grid,
-    SchemeParams,
-    c_beta_const,
-    exp_integral_tail_series,
-    gamma_fn,
-)
+from .core import Grid, SchemeParams
 from .preconditioners import (
     BandedCholPrecond,
     CirculantPrecond,
     build_band_compensated_ichol,
     build_tchan_precond,
-    tchan_column,
 )
 from .problems import (
     example1_exact,
@@ -63,11 +49,9 @@ from .problems import (
     example3_exact,
     example3_setup,
 )
-from .quadrature import QuadratureRule, gauss_legendre_rule, jacobi_gauss_rule
 from .reference import reference_apply_operator
 from .solvers import SolveReport, cg_solve, dense_gauss_solve, extreme_eigs, pcg_solve
-from .tails import tail_integral_left, tail_integral_right, tail_profile
-from .toeplitz import SymToeplitz, operator_matvec, toeplitz_matvec
+from .tails import tail_profile
 
 __version__ = "0.1.0"
 
@@ -78,26 +62,14 @@ __all__ = [
     "ConvergenceReport",
     "ExperimentConfig",
     "Grid",
-    "LoadVector",
     "OperatorMatrix",
-    "QuadratureRule",
     "SchemeParams",
     "SolveReport",
-    "SymToeplitz",
-    "assemble_diagonal",
-    "assemble_offdiagonal",
     "assemble_operator",
     "assemble_rhs",
-    "boundary_tail_load",
     "build_band_compensated_ichol",
     "build_tchan_precond",
-    "c_beta_const",
     "cg_solve",
-    "coeff_boundary_left",
-    "coeff_boundary_right",
-    "coeff_near_diag",
-    "coeff_pair_sum",
-    "coeff_quadrature_oracle",
     "compute_rates",
     "dense_gauss_solve",
     "emit_report",
@@ -107,23 +79,14 @@ __all__ = [
     "example2_setup",
     "example3_exact",
     "example3_setup",
-    "exp_integral_tail_series",
     "extreme_eigs",
     "format_report",
-    "gamma_fn",
-    "gauss_legendre_rule",
-    "jacobi_gauss_rule",
     "materialize_dense",
-    "operator_matvec",
+    "offdiag_row_sums",
     "pcg_solve",
     "read_system_dump",
     "reference_apply_operator",
-    "restrict_to_coarse",
     "run_convergence_study",
-    "tail_integral_left",
-    "tail_integral_right",
     "tail_profile",
-    "tchan_column",
-    "toeplitz_matvec",
     "write_system_dump",
 ]

@@ -32,7 +32,7 @@ from .coefficients import (
     singular_cell_weight,
 )
 from .core import Grid, SchemeParams
-from .quadrature import geometric_breakpoints, panel_quadrature_points
+from .quadrature import PANEL_POINTS, geometric_breakpoints, panel_quadrature_points
 from .tails import tail_profile
 from .toeplitz import SymToeplitz
 
@@ -70,12 +70,16 @@ class OperatorMatrix:
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.diag * np.asarray(v, dtype=float) + self.offdiag_toeplitz.matvec(v)
 
-    def offdiag_row_sums(self) -> np.ndarray:
-        """Row sums of the off-diagonal part, via prefix sums of the lags."""
-        t = self.toeplitz_col
-        S = np.concatenate([[0.0], np.cumsum(t[1:])])
-        i = np.arange(1, self.M + 1)
-        return S[i - 1] + S[self.M - i]
+
+def offdiag_row_sums(toeplitz_col: np.ndarray) -> np.ndarray:
+    """Row sums of the off-diagonal part of the symmetric Toeplitz matrix.
+
+    Row i (0-based) has i entries to its left and M-1-i to its right, so each
+    sum is two lookups in the prefix sums of the lags.
+    """
+    S = np.concatenate([[0.0], np.cumsum(toeplitz_col[1:])])
+    left = np.arange(toeplitz_col.size)
+    return S[left] + S[left[::-1]]
 
 
 @dataclass(frozen=True)
@@ -109,15 +113,6 @@ class BoundarySpec:
     @classmethod
     def zero(cls) -> "BoundarySpec":
         return cls()
-
-
-@dataclass(frozen=True)
-class LoadVector:
-    values: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("load vector has non-finite entries")
 
 
 def assemble_offdiagonal(params: SchemeParams, grid: Grid) -> np.ndarray:
@@ -156,11 +151,9 @@ def assemble_diagonal(params: SchemeParams, grid: Grid, toeplitz_col: np.ndarray
     h_{i,i} = tails(i) - (off-diagonal row sum) + (boundary lift weights),
     with all inputs in operator units (scaled when normalization is on).
     """
-    S = np.concatenate([[0.0], np.cumsum(toeplitz_col[1:])])
-    i = np.arange(1, grid.M + 1)
-    offsum = S[i - 1] + S[grid.M - i]
     left, right = _boundary_lift_weights(params, grid)
-    return tails_left + tails_right - offsum + params.scale * (left + right)
+    return (tails_left + tails_right - offdiag_row_sums(toeplitz_col)
+            + params.scale * (left + right))
 
 
 def assemble_operator(params: SchemeParams, grid: Grid) -> OperatorMatrix:
@@ -177,13 +170,13 @@ def assemble_operator(params: SchemeParams, grid: Grid) -> OperatorMatrix:
 
 
 def _exterior_load_profile(boundary: BoundarySpec, params: SchemeParams, grid: Grid,
-                           side: str, panel_points: int = 32) -> np.ndarray:
+                           side: str) -> np.ndarray:
     """Kernel-weighted integral of g over one exterior piece, for every row.
 
     Panels are graded geometrically away from the adjacent endpoint with
     first width h, so the kernel (whose distance never drops below h) is
     fully resolved; the integrand is evaluated on a (rows x points) grid in
-    one shot.
+    one shot.  Returns the unscaled integrals; zero data short-circuits.
     """
     M = grid.M
     if boundary.exterior_g is None:
@@ -194,7 +187,7 @@ def _exterior_load_profile(boundary: BoundarySpec, params: SchemeParams, grid: G
     if extent <= 0.0:
         return np.zeros(M)
     breaks = geometric_breakpoints(0.0, extent, first_width=grid.h)
-    pts, wts = panel_quadrature_points(breaks, panel_points)
+    pts, wts = panel_quadrature_points(breaks, PANEL_POINTS)
     y = (a - pts) if side == "left" else (b + pts)
     g = np.asarray(boundary.exterior_g(y), dtype=float)
     x = grid.interior
@@ -203,31 +196,14 @@ def _exterior_load_profile(boundary: BoundarySpec, params: SchemeParams, grid: G
     return (g[None, :] * kern) @ wts
 
 
-def boundary_tail_load(i: int, boundary: BoundarySpec, params: SchemeParams,
-                       grid: Grid) -> tuple[float, float]:
-    """Exterior-data integrals feeding row i of the load vector (unscaled).
-
-    Returns the pair of kernel-weighted integrals of g over (-inf, a] and
-    [b, inf); zero data short-circuits.  Integrands are nonsingular (the
-    kernel distance is at least h) and resolved to well below the scheme's
-    truncation error.
-    """
-    if not 1 <= i <= grid.M:
-        raise ValueError(f"row index out of range: {i}")
-    if boundary.exterior_g is None:
-        return (0.0, 0.0)
-    d1 = _exterior_load_profile(boundary, params, grid, "left")
-    d2 = _exterior_load_profile(boundary, params, grid, "right")
-    return (float(d1[i - 1]), float(d2[i - 1]))
-
-
 def assemble_rhs(f_values: np.ndarray, boundary: BoundarySpec, params: SchemeParams,
-                 grid: Grid) -> LoadVector:
+                 grid: Grid) -> np.ndarray:
     """Load vector: physical source plus scaled exterior loads and lifts.
 
     f_values is the caller-supplied right-hand side at the interior nodes
     and is never scaled; exterior loads and the endpoint lift terms carry
-    the same normalization as the operator.
+    the same normalization as the operator.  Raises ValueError when the
+    result has non-finite entries.
     """
     f_values = np.asarray(f_values, dtype=float)
     if f_values.shape != (grid.M,):
@@ -239,7 +215,9 @@ def assemble_rhs(f_values: np.ndarray, boundary: BoundarySpec, params: SchemePar
     if boundary.u_a != 0.0 or boundary.u_b != 0.0:
         left, right = _boundary_lift_weights(params, grid)
         F += params.scale * (boundary.u_a * left + boundary.u_b * right)
-    return LoadVector(values=F)
+    if not np.all(np.isfinite(F)):
+        raise ValueError("load vector has non-finite entries")
+    return F
 
 
 def materialize_dense(op: OperatorMatrix, cap: int = DENSE_CAP) -> np.ndarray:
@@ -253,9 +231,9 @@ def materialize_dense(op: OperatorMatrix, cap: int = DENSE_CAP) -> np.ndarray:
     return dense
 
 
-def write_system_dump(path, op: OperatorMatrix, load: LoadVector | np.ndarray) -> None:
+def write_system_dump(path, op: OperatorMatrix, F: np.ndarray) -> None:
     """Binary dump of (diag, toeplitz_col, F): magic header + little-endian f64."""
-    F = load.values if isinstance(load, LoadVector) else np.asarray(load, dtype=float)
+    F = np.asarray(F, dtype=float)
     if F.shape != (op.M,):
         raise ValueError("load vector length does not match the operator")
     with open(path, "wb") as fh:

@@ -55,12 +55,6 @@ def pair_sum_profile(m, params: SchemeParams, grid: Grid) -> np.ndarray:
     return _prefactor(params, h) * bracket
 
 
-def coeff_pair_sum(m: int, params: SchemeParams, grid: Grid) -> float:
-    if m < 2:
-        raise ValueError(f"pair sums are defined for lag m >= 2, got {m}")
-    return float(pair_sum_profile(np.array([m]), params, grid)[0])
-
-
 def coeff_near_diag(params: SchemeParams, grid: Grid) -> float:
     """Magnitude of the first off-diagonal entry (lag 1, unnormalized).
 
@@ -77,7 +71,11 @@ def coeff_near_diag(params: SchemeParams, grid: Grid) -> float:
 
 
 def boundary_left_profile(i, params: SchemeParams, grid: Grid) -> np.ndarray:
-    """Weight multiplying the left endpoint value in row i (vectorized, i >= 2)."""
+    """Weight multiplying the left endpoint value in row i (vectorized, i >= 2).
+
+    By symmetry the weight of the right endpoint value in row i is this
+    weight at M + 1 - i.
+    """
     i = np.asarray(i, dtype=float)
     h = grid.h
     u = 1.0 / i
@@ -88,22 +86,6 @@ def boundary_left_profile(i, params: SchemeParams, grid: Grid) -> np.ndarray:
     p = 1.0 - params.beta + params.s
     bracket = -(i ** p) * (np.expm1(p * np.log1p(-u)) + p * u)
     return _prefactor(params, h) * bracket
-
-
-def coeff_boundary_left(i: int, params: SchemeParams, grid: Grid) -> float:
-    if not 2 <= i <= grid.M:
-        raise ValueError(f"left boundary weight defined for 2 <= i <= M, got i = {i}")
-    return float(boundary_left_profile(np.array([i]), params, grid)[0])
-
-
-def coeff_boundary_right(i: int, params: SchemeParams, grid: Grid) -> float:
-    """Weight multiplying the right endpoint value in row i (1 <= i <= M-1).
-
-    Mirror image of the left weight: equals coeff_boundary_left at M+1-i.
-    """
-    if not 1 <= i <= grid.M - 1:
-        raise ValueError(f"right boundary weight defined for 1 <= i <= M-1, got i = {i}")
-    return coeff_boundary_left(grid.M + 1 - i, params, grid)
 
 
 def singular_cell_weight(params: SchemeParams, grid: Grid) -> float:

@@ -155,7 +155,7 @@ def _level_system(config: ExperimentConfig, grid: Grid):
         f, boundary, exact = example2_setup(params, grid)
     else:
         f, boundary, exact = example3_setup(params, grid)
-    F = assemble_rhs(f, boundary, params, grid).values
+    F = assemble_rhs(f, boundary, params, grid)
     return F, exact
 
 

@@ -20,15 +20,6 @@ import numpy as np
 
 EULER_GAMMA = 0.5772156649015329
 
-# Number of terms kept in the alternating series for the exponential
-# integral tail; adequate for arguments below 1/2 (and in fact well beyond).
-E1_SERIES_TERMS = 26
-
-# Cutoff K of the substitution used for the beta = 1 kernel tail when the
-# distance is at least 1/(2*lam): the integral of e^{-lam/w} over
-# (0, lam/K] is dropped, an O(e^{-K}) truncation.
-TAIL_SUBSTITUTION_CUTOFF = 80.0
-
 # Admissible (s, s1) selector pairs per beta range.  The selectors move
 # kernel powers into the interpolated functions; pairs outside these sets
 # either lose the sign structure of the stiffness matrix or divide by zero
@@ -176,30 +167,14 @@ class Grid:
         return self.nodes[1:-1]
 
 
-def exp_integral_tail_series(z, terms: int = E1_SERIES_TERMS):
-    """Exponential integral tail  int_z^inf e^{-t}/t dt  by alternating series.
-
-    Evaluates -gamma - ln z - sum_{n=1}^{terms} (-z)^n / (n * n!), intended
-    for 0 < z < 1/2 where the default truncation is far below double
-    precision.  Accepts scalars or arrays; raises ValueError for z <= 0.
-    """
-    z_arr = np.asarray(z, dtype=float)
-    if np.any(z_arr <= 0.0):
-        raise ValueError("exp_integral_tail_series requires z > 0")
-    acc = np.zeros_like(z_arr)
-    term = np.ones_like(z_arr)
-    for n in range(1, terms + 1):
-        term = term * (-z_arr) / n
-        acc = acc + term / n
-    out = -EULER_GAMMA - np.log(z_arr) - acc
-    return out if isinstance(z, np.ndarray) else float(out)
-
-
 def e1(z):
-    """Exponential integral E1 for z > 0, robust over the whole range.
+    """Exponential integral E1(z) = int_z^inf e^{-t}/t dt for z > 0.
 
-    Below z = 4 the alternating series converges quickly and without harmful
-    cancellation; above, e^{-t}/t is integrated over [z, z+50] by composite
+    Below z = 4 the alternating series -gamma - ln z - sum_{n>=1} (-z)^n/(n n!)
+    converges quickly and without harmful cancellation.  It is summed until
+    a term changes no partial sum, at most 64 terms: past that point each
+    term is under half the previous one, so the rest would change nothing
+    either.  Above, e^{-t}/t is integrated over [z, z+50] by composite
     Gauss-Legendre panels (the remaining tail is below 1e-21 relative).
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
@@ -208,7 +183,16 @@ def e1(z):
     out = np.empty_like(z_arr)
     small = z_arr < 4.0
     if small.any():
-        out[small] = exp_integral_tail_series(z_arr[small], terms=64)
+        zs = z_arr[small]
+        acc = np.zeros_like(zs)
+        term = np.ones_like(zs)
+        for n in range(1, 65):
+            term = term * (-zs) / n
+            summed = acc + term / n
+            if np.array_equal(summed, acc):
+                break
+            acc = summed
+        out[small] = -EULER_GAMMA - np.log(zs) - acc
     if (~small).any():
         from .quadrature import gauss_legendre_rule
 

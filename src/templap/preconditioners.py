@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
-from .assembly import OperatorMatrix
+from .assembly import OperatorMatrix, offdiag_row_sums
 
 SPECTRUM_IMAG_TOL = 1e-13
 
@@ -38,9 +38,6 @@ class CirculantPrecond:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Solve C x = v by pointwise division in Fourier space."""
         return np.fft.irfft(np.fft.rfft(v) / self.spectrum, n=self.M)
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return np.fft.irfft(np.fft.rfft(v) * self.spectrum, n=self.M)
 
 
 def tchan_column(toeplitz_first_col: np.ndarray) -> np.ndarray:
@@ -114,11 +111,9 @@ def build_band_compensated_ichol(op: OperatorMatrix, k: int = 10) -> BandedCholP
     if not 1 <= k < M:
         raise ValueError(f"bandwidth must satisfy 1 <= k < M, got k = {k}, M = {M}")
     t = op.toeplitz_col
-    S = np.concatenate([[0.0], np.cumsum(t[1:])])
-    i = np.arange(1, M + 1)
-    total = S[i - 1] + S[M - i]
-    in_band = S[np.minimum(i - 1, k)] + S[np.minimum(M - i, k)]
-    compensation = total - in_band
+    in_band = t.copy()
+    in_band[k + 1:] = 0.0
+    compensation = offdiag_row_sums(t) - offdiag_row_sums(in_band)
     band = np.zeros((k + 1, M))
     band[0] = op.diag + compensation
     for j in range(1, k + 1):

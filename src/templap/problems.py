@@ -33,8 +33,7 @@ def example1_exact(x):
     return x * x * (1.0 - x)
 
 
-def example1_f(params: SchemeParams, grid: Grid,
-               n_points: int = GAUSS_JACOBI_POINTS) -> np.ndarray:
+def example1_f(params: SchemeParams, grid: Grid) -> np.ndarray:
     """Source manufactured from u = x^2 (1 - x) on (0, 1).
 
     Writes the kernel integral of u as u(x)(tail sum) plus boundary power
@@ -52,7 +51,7 @@ def example1_f(params: SchemeParams, grid: Grid,
     tails = tail_profile(x, params) + tail_profile(1.0 - x, params)
 
     if not params.is_log_case:
-        tL, wL = weighted_interval_rule(n_points, 1.0 - beta, 1.0)
+        tL, wL = weighted_interval_rule(GAUSS_JACOBI_POINTS, 1.0 - beta, 1.0)
         # Nodes/weights for int_0^d: rescale the unit-interval rule by d.
         def incomplete(d, const, sign):
             t = np.multiply.outer(d, tL)

@@ -10,12 +10,14 @@ from scipy.linalg import eigh_tridiagonal
 
 from .core import gamma_fn
 
-# Default point counts.  The smooth exponential-kernel integrals reach
-# machine precision well below 64 points; the reciprocal-exponent
-# substitution used by the beta = 1 kernel tail has a boundary layer and
-# needs more (128 keeps its node-doubling drift under 1e-12).
+# Point counts.  The smooth exponential-kernel integrals reach machine
+# precision well below 64 points; the reciprocal-exponent substitution used
+# by the beta = 1 kernel tail has a boundary layer and needs more (128 keeps
+# its node-doubling drift under 1e-12).  Geometrically graded panels get
+# PANEL_POINTS Gauss-Legendre points each.
 GAUSS_JACOBI_POINTS = 64
 TAIL_SUBSTITUTION_POINTS = 128
+PANEL_POINTS = 32
 
 
 @dataclass(frozen=True)
@@ -24,11 +26,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-    weight_exponents: tuple[float, float]
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum against function values at the nodes."""
-        return float(self.weights @ values)
 
 
 def jacobi_gauss_rule(n: int, alpha_w: float, beta_w: float) -> QuadratureRule:
@@ -70,7 +67,7 @@ def _cached_rule(n: int, a: float, b: float) -> QuadratureRule:
         weights = mu0 * vecs[0, :] ** 2
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureRule(nodes=nodes, weights=weights, weight_exponents=(a, b))
+    return QuadratureRule(nodes=nodes, weights=weights)
 
 
 def gauss_legendre_rule(n: int) -> QuadratureRule:
@@ -105,7 +102,7 @@ def geometric_breakpoints(start: float, stop: float, first_width: float,
     return np.array(edges)
 
 
-def panel_quadrature_points(breaks: np.ndarray, n: int = 32):
+def panel_quadrature_points(breaks: np.ndarray, n: int):
     """Concatenated Gauss-Legendre points/weights over consecutive panels."""
     rule = gauss_legendre_rule(n)
     lo = np.asarray(breaks[:-1], dtype=float)

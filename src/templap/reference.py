@@ -24,6 +24,7 @@ import numpy as np
 from .core import SchemeParams
 from .quadrature import (
     GAUSS_JACOBI_POINTS,
+    PANEL_POINTS,
     geometric_breakpoints,
     jacobi_gauss_rule,
     panel_quadrature_points,
@@ -39,8 +40,6 @@ def reference_apply_operator(
     b: float,
     support: tuple[float, float] | None = None,
     second_difference: Callable[[float, np.ndarray], np.ndarray] | None = None,
-    nearfield_points: int = GAUSS_JACOBI_POINTS,
-    panel_points: int = 32,
 ) -> float:
     """Evaluate -(Delta + lam)^{beta/2} u at an interior point x.
 
@@ -64,7 +63,7 @@ def reference_apply_operator(
     beta, lam = params.beta, params.lam
     delta = min(x - a, b - x)
 
-    rule = jacobi_gauss_rule(nearfield_points, 0.0, 1.0 - beta)
+    rule = jacobi_gauss_rule(GAUSS_JACOBI_POINTS, 0.0, 1.0 - beta)
     t = (delta / 2.0) * (1.0 + rule.nodes)
     ux = float(u(np.array([x]))[0])
     if second_difference is None:
@@ -85,7 +84,7 @@ def reference_apply_operator(
         extra = [sgn * (p - x) for p in kinks if delta < sgn * (p - x) < reach]
         if extra:
             breaks = np.unique(np.concatenate([breaks, extra]))
-        pts, wts = panel_quadrature_points(breaks, panel_points)
+        pts, wts = panel_quadrature_points(breaks, PANEL_POINTS)
         far -= float(wts @ (u(x + sgn * pts) * np.exp(-lam * pts) * pts ** (-1.0 - beta)))
 
     return params.scale * (near + far)

@@ -3,18 +3,19 @@
 Both solvers start from the zero initial guess and stop when the true
 (unpreconditioned) relative residual ||r_k|| / ||r_0|| drops to the
 requested tolerance; preconditioning only redirects the search directions.
-Hitting the iteration cap returns the current iterate with the report
-flagged, never an exception.
+Hitting the iteration cap, or a search direction along which the operator
+is not positive definite, returns the current iterate with the report
+flagged, never an exception.  A non-finite right-hand side is rejected
+before iterating.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
-
-from .assembly import OperatorMatrix
 
 
 @dataclass
@@ -27,17 +28,6 @@ class SolveReport:
     converged: bool
 
 
-def _as_matvec(op):
-    if isinstance(op, OperatorMatrix):
-        return op.matvec
-    if callable(op):
-        return op
-    A = np.asarray(op, dtype=float)
-    if A.ndim == 2:
-        return lambda v: A @ v
-    raise TypeError(f"cannot interpret {type(op)!r} as a linear operator")
-
-
 def cg_solve(op, F, tol: float = 1e-9, max_iter: int | None = None):
     """Unpreconditioned conjugate gradients; returns (solution, SolveReport)."""
     return pcg_solve(op, F, precond=None, tol=tol, max_iter=max_iter)
@@ -46,12 +36,14 @@ def cg_solve(op, F, tol: float = 1e-9, max_iter: int | None = None):
 def pcg_solve(op, F, precond, tol: float = 1e-9, max_iter: int | None = None):
     """Preconditioned conjugate gradients for s.p.d. systems.
 
-    ``precond`` applies an s.p.d. approximation of the inverse: an object
-    with an ``apply`` method, a bare callable, or None.  Deterministic; the
-    factor matrices never appear explicitly.
+    ``op`` is an assembled OperatorMatrix.  ``precond`` applies an s.p.d.
+    approximation of the inverse: an object with an ``apply`` method, a bare
+    callable, or None.  Deterministic; the factor matrices never appear
+    explicitly.
     """
     F = np.asarray(F, dtype=float)
-    matvec = _as_matvec(op)
+    if not np.all(np.isfinite(F)):
+        raise ValueError("right-hand side has non-finite entries")
     if precond is None:
         apply_m = None
     elif hasattr(precond, "apply"):
@@ -77,8 +69,11 @@ def pcg_solve(op, F, precond, tol: float = 1e-9, max_iter: int | None = None):
     converged = False
     k = 0
     while k < max_iter:
-        Ap = matvec(p)
-        alpha = rz / float(p @ Ap)
+        Ap = op.matvec(p)
+        curvature = float(p @ Ap)
+        if not 0.0 < curvature < math.inf:
+            break  # not positive definite along p: stop unconverged
+        alpha = rz / curvature
         x += alpha * p
         r -= alpha * Ap
         k += 1

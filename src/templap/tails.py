@@ -11,25 +11,18 @@ on the parameters:
 * lam > 0, beta != 1: integration by parts twice leaves the incomplete
   integral of e^{-lam t} t^{1-beta} over (0, d), evaluated spectrally by
   Gauss-Jacobi with weight (1+xi)^{1-beta}.
-* lam > 0, beta = 1: for d >= 1/(2 lam), substituting w = 1/t maps the tail
-  onto int e^{-lam/w} dw over (lam/K, 1/d] (the cutoff K drops an O(e^{-K})
-  remainder), done by Gauss-Legendre; for d < 1/(2 lam) the identity
-  T(d) = e^{-lam d}/d - lam E1(lam d) is used with the truncated
-  alternating series for E1.
+* lam > 0, beta = 1: the identity T(d) = e^{-lam d}/d - lam E1(lam d) for
+  d < 1/(2 lam) and for lam d > 30 (where T itself is below e^{-30});
+  in between, substituting w = 1/t maps the tail onto int e^{-lam/w} dw
+  over (lam/K, 1/d] (the cutoff K drops an O(e^{-K}) remainder), done by
+  Gauss-Legendre.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    TAIL_SUBSTITUTION_CUTOFF,
-    Grid,
-    SchemeParams,
-    e1,
-    exp_integral_tail_series,
-    gamma_fn,
-)
+from .core import SchemeParams, e1, gamma_fn
 from .quadrature import (
     GAUSS_JACOBI_POINTS,
     TAIL_SUBSTITUTION_POINTS,
@@ -37,8 +30,12 @@ from .quadrature import (
     jacobi_gauss_rule,
 )
 
+# Cutoff K of the reciprocal substitution used for the beta = 1 tail: the
+# integral of e^{-lam/w} over (0, lam/K] is dropped, an O(e^{-K}) truncation.
+TAIL_SUBSTITUTION_CUTOFF = 80.0
 
-def tail_profile(distances, params: SchemeParams, n_points: int | None = None) -> np.ndarray:
+
+def tail_profile(distances, params: SchemeParams) -> np.ndarray:
     """T(d) for an array of positive distances (unnormalized)."""
     d = np.atleast_1d(np.asarray(distances, dtype=float))
     if np.any(d <= 0.0):
@@ -47,8 +44,7 @@ def tail_profile(distances, params: SchemeParams, n_points: int | None = None) -
     if lam == 0.0:
         return d ** (-beta) / beta
     if beta != 1.0:
-        n = n_points or GAUSS_JACOBI_POINTS
-        rule = jacobi_gauss_rule(n, 0.0, 1.0 - beta)
+        rule = jacobi_gauss_rule(GAUSS_JACOBI_POINTS, 0.0, 1.0 - beta)
         # int_0^d e^{-lam t} t^{1-beta} dt, algebraic factor in the weight
         expo = np.exp(np.multiply.outer(-(lam * d / 2.0), 1.0 + rule.nodes))
         incomplete = (d / 2.0) ** (2.0 - beta) * (expo @ rule.weights)
@@ -57,51 +53,19 @@ def tail_profile(distances, params: SchemeParams, n_points: int | None = None) -
                 + lam ** beta * gamma_fn(-beta)
                 + lam ** 2 / (beta * (1.0 - beta)) * incomplete)
     out = np.empty_like(d)
-    near = d < 1.0 / (2.0 * lam)
-    if near.any():
-        z = lam * d[near]
-        out[near] = np.exp(-z) / d[near] - lam * exp_integral_tail_series(z)
-    if (~near).any():
-        out[~near] = _tail_unit_order_far(d[~near], lam, n_points)
+    identity = (d < 0.5 / lam) | (lam * d > 30.0)
+    if identity.any():
+        z = lam * d[identity]
+        out[identity] = np.exp(-z) / d[identity] - lam * e1(z)
+    if (~identity).any():
+        out[~identity] = _tail_unit_order_substitution(d[~identity], lam)
     return out
 
 
-def _tail_unit_order_far(d: np.ndarray, lam: float, n_points: int | None = None) -> np.ndarray:
-    """beta = 1 tail for d >= 1/(2 lam) via the reciprocal substitution."""
+def _tail_unit_order_substitution(d: np.ndarray, lam: float) -> np.ndarray:
+    """beta = 1 tail for 1/(2 lam) <= d <= 30/lam via the reciprocal substitution."""
     K = TAIL_SUBSTITUTION_CUTOFF
-    big = lam * d > 30.0
-    out = np.empty_like(d)
-    if big.any():
-        # Substitution interval would collapse; the exact identity is
-        # adequate here since the value itself is below e^{-30}.
-        z = lam * d[big]
-        out[big] = np.exp(-z) / d[big] - lam * e1(z)
-    rest = ~big
-    if rest.any():
-        n = n_points or TAIL_SUBSTITUTION_POINTS
-        rule = gauss_legendre_rule(n)
-        dd = d[rest]
-        eta = (np.multiply.outer(1.0 / (2.0 * dd), rule.nodes + 1.0)
-               - lam * (rule.nodes - 1.0) / (2.0 * K))
-        out[rest] = (1.0 / (2.0 * dd) - lam / (2.0 * K)) * (np.exp(-lam / eta) @ rule.weights)
-    return out
-
-
-def _tail_unit_order_near(d: np.ndarray, lam: float) -> np.ndarray:
-    """beta = 1 tail via e^{-lam d}/d - lam E1(lam d) with the series E1."""
-    z = lam * np.asarray(d, dtype=float)
-    return np.exp(-z) / d - lam * exp_integral_tail_series(z)
-
-
-def tail_integral_left(i: int, params: SchemeParams, grid: Grid) -> float:
-    """Tail integral over (-inf, a] for row i: distance x_i - a."""
-    if not 1 <= i <= grid.M:
-        raise ValueError(f"row index out of range: {i}")
-    return float(tail_profile(grid.nodes[i] - grid.a, params)[0])
-
-
-def tail_integral_right(i: int, params: SchemeParams, grid: Grid) -> float:
-    """Tail integral over [b, inf) for row i: distance b - x_i."""
-    if not 1 <= i <= grid.M:
-        raise ValueError(f"row index out of range: {i}")
-    return float(tail_profile(grid.b - grid.nodes[i], params)[0])
+    rule = gauss_legendre_rule(TAIL_SUBSTITUTION_POINTS)
+    eta = (np.multiply.outer(1.0 / (2.0 * d), rule.nodes + 1.0)
+           - lam * (rule.nodes - 1.0) / (2.0 * K))
+    return (1.0 / (2.0 * d) - lam / (2.0 * K)) * (np.exp(-lam / eta) @ rule.weights)

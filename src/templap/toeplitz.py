@@ -41,19 +41,3 @@ class SymToeplitz:
         L = self._embed_len
         out = np.fft.irfft(self.spectrum * np.fft.rfft(v, n=L), n=L)
         return out[:self.M]
-
-    def dense(self) -> np.ndarray:
-        idx = np.abs(np.arange(self.M)[:, None] - np.arange(self.M)[None, :])
-        return self.first_col[idx]
-
-
-def toeplitz_matvec(T, v: np.ndarray) -> np.ndarray:
-    """Product of a symmetric Toeplitz matrix (or its first column) with v."""
-    if not isinstance(T, SymToeplitz):
-        T = SymToeplitz(T)
-    return T.matvec(v)
-
-
-def operator_matvec(op, v: np.ndarray) -> np.ndarray:
-    """H v for an assembled operator: diagonal part plus Toeplitz off-part."""
-    return op.diag * np.asarray(v, dtype=float) + op.offdiag_toeplitz.matvec(v)

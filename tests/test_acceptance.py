@@ -33,19 +33,21 @@ from templap import (
     example1_f,
     extreme_eigs,
     materialize_dense,
+    offdiag_row_sums,
     pcg_solve,
     run_convergence_study,
+    tail_profile,
 )
 from templap.coefficients import (
     boundary_left_profile,
-    coeff_boundary_left,
     coeff_near_diag,
-    coeff_pair_sum,
     coeff_quadrature_oracle,
+    pair_sum_profile,
     singular_cell_weight,
 )
+from templap.core import e1
 from templap.problems import example2_exterior
-from templap.tails import _tail_unit_order_far, _tail_unit_order_near, tail_profile
+from templap.tails import _tail_unit_order_substitution
 
 # ---------------------------------------------------------------------------
 # Benchmark reference data (problem 1 on (0,1), M = 2^J - 1).
@@ -406,9 +408,10 @@ def test_criterion_7_structural_properties():
             op = assemble_operator(params, Grid(0.0, 1.0, M))
             assert np.all(op.toeplitz_col[1:] < 0.0)
             assert np.all(op.diag > 0.0)
-            surplus = op.diag + op.offdiag_row_sums() - (op.tails_left + op.tails_right)
+            row_sums = offdiag_row_sums(op.toeplitz_col)
+            surplus = op.diag + row_sums - (op.tails_left + op.tails_right)
             assert np.all(surplus > 0.0)
-            floors = op.diag + op.offdiag_row_sums()
+            floors = op.diag + row_sums
             assert np.all(floors > np.min(op.tails_left + op.tails_right))
         lmaxs, hs = [], []
         for M in (127, 255, 511, 1023):
@@ -438,7 +441,8 @@ def test_criterion_8_oracle_suite():
             grid = grids.setdefault((M, h), Grid(0.0, h * (M + 1), M))
             oracle = (coeff_quadrature_oracle(m + 1, 2, "A1", params, grid)
                       + coeff_quadrature_oracle(m + 1, 1, "A2", params, grid))
-            assert coeff_pair_sum(m, params, grid) == pytest.approx(oracle, rel=1e-9)
+            got = float(pair_sum_profile(np.array([m]), params, grid)[0])
+            assert got == pytest.approx(oracle, rel=1e-9)
         elif kind == 1:
             M = 9
             grid = grids.setdefault((M, h), Grid(0.0, h * (M + 1), M))
@@ -451,7 +455,8 @@ def test_criterion_8_oracle_suite():
             grid = grids.setdefault((M, h), Grid(0.0, h * (M + 1), M))
             i = int(rng.integers(2, M + 1))
             oracle = coeff_quadrature_oracle(i, 1, "A1", params, grid)
-            assert coeff_boundary_left(i, params, grid) == pytest.approx(oracle, rel=1e-9)
+            got = float(boundary_left_profile(np.array([i]), params, grid)[0])
+            assert got == pytest.approx(oracle, rel=1e-9)
 
     # tail integrals vs adaptive quadrature of the definition
     def tail_oracle(d, beta, lam):
@@ -468,9 +473,9 @@ def test_criterion_8_oracle_suite():
                 assert got == pytest.approx(tail_oracle(d, beta, lam), rel=1e-9)
     for lam in (0.8, 2.5):
         thr = 1.0 / (2.0 * lam)
-        d = np.array([thr])
-        assert float(_tail_unit_order_near(d, lam)[0]) == pytest.approx(
-            float(_tail_unit_order_far(d, lam)[0]), rel=1e-9)
+        identity = math.exp(-lam * thr) / thr - lam * e1(lam * thr)
+        assert identity == pytest.approx(
+            float(_tail_unit_order_substitution(np.array([thr]), lam)[0]), rel=1e-9)
 
     # full small-grid system vs brute-force assembly with exterior data
     for params in (SchemeParams(beta=0.5, lam=1.3, s=0, s1=0),
@@ -535,7 +540,7 @@ def _brute_force_small_system_check(params):
     boundary = BoundarySpec(exterior_g=example2_exterior, u_a=0.25, u_b=-0.5,
                             support=(-0.5, 1.5))
     f_phys = np.sin(1.0 + xg[1:-1])
-    F = assemble_rhs(f_phys, boundary, params, grid).values
+    F = assemble_rhs(f_phys, boundary, params, grid)
 
     def brute_load(i):
         x_i = xg[i]

@@ -13,9 +13,10 @@ from templap import (
     SchemeParams,
     assemble_operator,
     assemble_rhs,
-    boundary_tail_load,
+    assembly,
     extreme_eigs,
     materialize_dense,
+    offdiag_row_sums,
     read_system_dump,
     write_system_dump,
 )
@@ -41,7 +42,7 @@ class TestMatrixStructure:
         op = assemble_operator(p, grid)
         assert np.all(op.toeplitz_col[1:] < 0.0)
         assert np.all(op.diag > 0.0)
-        surplus = op.diag + op.offdiag_row_sums() - (op.tails_left + op.tails_right)
+        surplus = op.diag + offdiag_row_sums(op.toeplitz_col) - (op.tails_left + op.tails_right)
         assert np.all(surplus > 0.0)
 
     def test_diagonal_palindrome(self):
@@ -64,7 +65,7 @@ class TestMatrixStructure:
         grid = Grid(0.0, 1.0, 63)
         for p in sample_params():
             op = assemble_operator(p, grid)
-            floors = op.diag + op.offdiag_row_sums()
+            floors = op.diag + offdiag_row_sums(op.toeplitz_col)
             assert np.all(floors > np.min(op.tails_left + op.tails_right))
 
     @pytest.mark.parametrize("beta,lam", [(0.5, 0.5), (1.5, 3.0)])
@@ -136,14 +137,17 @@ class TestBoundaryLoads:
     def test_zero_data_short_circuits(self):
         grid = Grid(0.0, 1.0, 7)
         p = SchemeParams(beta=0.5, lam=1.0, s=0, s1=0)
-        assert boundary_tail_load(3, BoundarySpec.zero(), p, grid) == (0.0, 0.0)
+        for side in ("left", "right"):
+            load = _exterior_load_profile(BoundarySpec.zero(), p, grid, side)
+            np.testing.assert_array_equal(load, np.zeros(grid.M))
 
     def test_left_piece_closed_form(self):
         # integral of (-2y)(1/2 - y)^{-3/2} over [-1/2, 0] equals 6 - 4 sqrt(2)
         p = SchemeParams(beta=0.5, lam=0.0, s=0, s1=0)
         grid = Grid(0.0, 1.0, 7)  # x_4 = 1/2
         boundary = BoundarySpec(exterior_g=example2_exterior, support=(-0.5, 1.5))
-        d1, d2 = boundary_tail_load(4, boundary, p, grid)
+        d1 = _exterior_load_profile(boundary, p, grid, "left")[3]
+        d2 = _exterior_load_profile(boundary, p, grid, "right")[3]
         assert d1 == pytest.approx(6.0 - 4.0 * math.sqrt(2.0), rel=1e-10)
         assert d2 > 0.0
 
@@ -153,17 +157,20 @@ class TestBoundaryLoads:
         boundary = BoundarySpec(exterior_g=g_right, support=(0.0, 1.5))
         p = SchemeParams(beta=0.5, lam=0.5, s=0, s1=0)
         grid = Grid(0.0, 1.0, 7)
+        d1 = _exterior_load_profile(boundary, p, grid, "left")
+        d2 = _exterior_load_profile(boundary, p, grid, "right")
         for i in (1, 4, 7):
-            d1, d2 = boundary_tail_load(i, boundary, p, grid)
-            assert d1 == 0.0
-            assert d2 > 0.0
+            assert d1[i - 1] == 0.0
+            assert d2[i - 1] > 0.0
 
-    def test_panel_doubling_self_check(self):
+    def test_panel_doubling_self_check(self, monkeypatch):
         p = SchemeParams(beta=1.5, lam=3.0, s=1, s1=1)
         grid = Grid(0.0, 1.0, 63)
         boundary = BoundarySpec(exterior_g=example2_exterior, support=(-0.5, 1.5))
-        coarse = _exterior_load_profile(boundary, p, grid, "left", panel_points=32)
-        fine = _exterior_load_profile(boundary, p, grid, "left", panel_points=64)
+        assert assembly.PANEL_POINTS == 32
+        coarse = _exterior_load_profile(boundary, p, grid, "left")
+        monkeypatch.setattr(assembly, "PANEL_POINTS", 64)
+        fine = _exterior_load_profile(boundary, p, grid, "left")
         np.testing.assert_allclose(coarse, fine, rtol=1e-12)
 
     def test_spec_validation(self):
@@ -179,7 +186,7 @@ class TestLoadVector:
         p = SchemeParams(beta=0.7, lam=1.0, s=0, s1=0)
         f = np.sin(np.pi * grid.interior)
         F = assemble_rhs(f, BoundarySpec.zero(), p, grid)
-        np.testing.assert_array_equal(F.values, f)
+        np.testing.assert_array_equal(F, f)
 
     def test_endpoint_lift_rows(self):
         from templap.coefficients import boundary_left_profile, singular_cell_weight
@@ -187,7 +194,7 @@ class TestLoadVector:
         grid = Grid(0.0, 1.0, 15)
         p = SchemeParams(beta=1.5, lam=0.7, s=1, s1=1)
         ua, ub = 2.0, -3.0
-        F = assemble_rhs(np.zeros(grid.M), BoundarySpec(u_a=ua, u_b=ub), p, grid).values
+        F = assemble_rhs(np.zeros(grid.M), BoundarySpec(u_a=ua, u_b=ub), p, grid)
         M, h, lam, s = grid.M, grid.h, p.lam, p.s
         w_sing = singular_cell_weight(p, grid)
         bl = boundary_left_profile(np.arange(2, M + 1), p, grid)
@@ -208,7 +215,7 @@ class TestLoadVector:
                                    & (np.abs(np.asarray(y) - 0.5) <= 1.0),
                                    1.0, 0.0)
         boundary = BoundarySpec(exterior_g=sym_g, u_a=1.0, u_b=1.0, support=(-0.5, 1.5))
-        F = assemble_rhs(f, boundary, p, grid).values
+        F = assemble_rhs(f, boundary, p, grid)
         np.testing.assert_allclose(F, F[::-1], rtol=1e-12)
 
     def test_rejects_nonfinite_and_mis_sized(self):
@@ -255,7 +262,7 @@ class TestDenseAndDump:
         diag, col, load = read_system_dump(path)
         np.testing.assert_array_equal(diag, op.diag)
         np.testing.assert_array_equal(col, op.toeplitz_col)
-        np.testing.assert_array_equal(load, F.values)
+        np.testing.assert_array_equal(load, F)
 
     def test_dump_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"

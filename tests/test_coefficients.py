@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from templap import Grid, SchemeParams, coeff_near_diag, coeff_pair_sum
+from templap import Grid, SchemeParams
+from templap.assembly import _boundary_lift_weights
 from templap.coefficients import (
-    coeff_boundary_left,
-    coeff_boundary_right,
+    boundary_left_profile,
+    coeff_near_diag,
     coeff_quadrature_oracle,
     pair_sum_profile,
     singular_cell_weight,
@@ -19,6 +20,14 @@ def unit_grid(M=15, h=None):
     if h is None:
         return Grid(0.0, 1.0, M)
     return Grid(0.0, h * (M + 1), M)
+
+
+def pair_sum(m, params, grid):
+    return float(pair_sum_profile(np.array([m]), params, grid)[0])
+
+
+def boundary_left(i, params, grid):
+    return float(boundary_left_profile(np.array([i]), params, grid)[0])
 
 
 def random_params(rng, avoid_log_band=True):
@@ -39,10 +48,10 @@ class TestPairSum:
         g = unit_grid(M=15, h=1.0)
         p = SchemeParams(beta=0.5, lam=0.0, s=0, s1=0)
         want = 4.0 * (2.0 * math.sqrt(2.0) - 1.0 - math.sqrt(3.0))
-        assert coeff_pair_sum(2, p, g) == pytest.approx(want, rel=1e-13)
+        assert pair_sum(2, p, g) == pytest.approx(want, rel=1e-13)
         p1 = SchemeParams(beta=1.0, lam=0.0, s=1, s1=1)
         want1 = -4.0 * math.log(2.0) + 3.0 * math.log(3.0)
-        assert coeff_pair_sum(2, p1, g) == pytest.approx(want1, rel=1e-13)
+        assert pair_sum(2, p1, g) == pytest.approx(want1, rel=1e-13)
 
     def test_matches_cell_quadrature(self):
         rng = np.random.default_rng(11)
@@ -56,7 +65,7 @@ class TestPairSum:
             i, j = m + 1, 1
             oracle = (coeff_quadrature_oracle(i, j + 1, "A1", p, grid)
                       + coeff_quadrature_oracle(i, j, "A2", p, grid))
-            assert coeff_pair_sum(m, p, grid) == pytest.approx(oracle, rel=1e-9)
+            assert pair_sum(m, p, grid) == pytest.approx(oracle, rel=1e-9)
 
     def test_right_side_pair_equals_left_side_pair(self):
         # A3(i, s, j+1) + A4(i, s, j) equals the left-side pair at the same lag
@@ -66,7 +75,7 @@ class TestPairSum:
             i, j = 2, 2 + m
             right = (coeff_quadrature_oracle(i, j + 1, "A3", p, grid)
                      + coeff_quadrature_oracle(i, j, "A4", p, grid))
-            assert coeff_pair_sum(m, p, grid) == pytest.approx(right, rel=1e-10)
+            assert pair_sum(m, p, grid) == pytest.approx(right, rel=1e-10)
 
     def test_positive_for_all_admissible_lags(self):
         grid = unit_grid(M=5, h=0.01)
@@ -81,10 +90,6 @@ class TestPairSum:
                     p = SchemeParams(beta=beta, s=s, s1=s1)
                 vals = pair_sum_profile(m, p, grid)
                 assert np.all(vals > 0.0), (beta, s)
-
-    def test_lag_contract(self):
-        with pytest.raises(ValueError):
-            coeff_pair_sum(1, SchemeParams(beta=0.5, s=0, s1=0), unit_grid())
 
 
 class TestNearDiag:
@@ -118,15 +123,17 @@ class TestBoundaryWeights:
         g = unit_grid(M=15, h=1.0)
         p = SchemeParams(beta=0.5, lam=0.0, s=0, s1=0)
         want = 4.0 * (math.sqrt(2.0) - 1.0 - 0.5 / math.sqrt(2.0))
-        assert coeff_boundary_left(2, p, g) == pytest.approx(want, rel=1e-13)
+        assert boundary_left(2, p, g) == pytest.approx(want, rel=1e-13)
         p1 = SchemeParams(beta=1.0, lam=0.0, s=1, s1=1)
-        assert coeff_boundary_left(2, p1, g) == pytest.approx(1.0 - math.log(2.0), rel=1e-13)
+        assert boundary_left(2, p1, g) == pytest.approx(1.0 - math.log(2.0), rel=1e-13)
 
     def test_mirror_identity(self):
+        # The (damped) right endpoint weight of row i is the left one of row M+1-i.
         g = unit_grid(M=17)
         p = SchemeParams(beta=1.5, lam=2.0, s=1, s1=1)
+        left, right = _boundary_lift_weights(p, g)
         for i in (1, 3, 9, 16):
-            assert coeff_boundary_right(i, p, g) == coeff_boundary_left(g.M + 1 - i, p, g)
+            assert right[i - 1] == left[g.M - i]
 
     def test_matches_cell_quadrature(self):
         rng = np.random.default_rng(23)
@@ -135,17 +142,7 @@ class TestBoundaryWeights:
             p = random_params(rng)
             i = int(rng.integers(2, grid.M + 1))
             oracle = coeff_quadrature_oracle(i, 1, "A1", p, grid)
-            assert coeff_boundary_left(i, p, grid) == pytest.approx(oracle, rel=1e-9)
-
-    def test_index_contracts(self):
-        g = unit_grid(M=7)
-        p = SchemeParams(beta=0.5, s=0, s1=0)
-        for bad in (0, 1, 8):
-            with pytest.raises(ValueError):
-                coeff_boundary_left(bad, p, g)
-        for bad in (0, 7, 8):
-            with pytest.raises(ValueError):
-                coeff_boundary_right(bad, p, g)
+            assert boundary_left(i, p, grid) == pytest.approx(oracle, rel=1e-9)
 
 
 class TestQuadratureOracle:

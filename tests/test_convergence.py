@@ -14,10 +14,9 @@ from templap import (
     emit_report,
     error_norms,
     format_report,
-    restrict_to_coarse,
     run_convergence_study,
 )
-from templap.convergence import LevelResult
+from templap.convergence import LevelResult, restrict_to_coarse
 
 
 class TestErrorNorms:

@@ -11,11 +11,11 @@ from templap import (
     build_band_compensated_ichol,
     build_tchan_precond,
     cg_solve,
+    extreme_eigs,
     materialize_dense,
     pcg_solve,
-    tchan_column,
 )
-from templap.solvers import extreme_eigs
+from templap.preconditioners import tchan_column
 
 
 def example_op(beta=0.5, lam=0.5, M=255):
@@ -37,10 +37,11 @@ class TestCirculant:
     def test_apply_matvec_round_trip(self):
         op = example_op()
         C = build_tchan_precond(op)
+        B = scipy.linalg.circulant(C.first_col)
         rng = np.random.default_rng(0)
         v = rng.standard_normal(op.M)
-        np.testing.assert_allclose(C.apply(C.matvec(v)), v, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(C.matvec(C.apply(v)), v, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(C.apply(B @ v), v, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(B @ C.apply(v), v, rtol=1e-12, atol=1e-12)
 
     def test_spectrum_strictly_positive(self):
         for beta in (0.5, 1.0, 1.5):

@@ -107,6 +107,23 @@ class TestPCG:
         with pytest.raises(TypeError):
             pcg_solve(op, np.ones(8), precond=1234)
 
+    def test_rejects_nonfinite_rhs_before_iterating(self):
+        op = diagonal_operator(np.ones(8))
+        for bad in (np.nan, np.inf):
+            F = np.ones(8)
+            F[3] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                pcg_solve(op, F, precond=None)
+
+    def test_nonpositive_curvature_stops_unconverged(self):
+        # p.Ap = 0 on the first direction: stop with the report flagged
+        # instead of dividing by zero.
+        op = diagonal_operator(np.zeros(8))
+        U, rep = cg_solve(op, np.ones(8))
+        assert not rep.converged
+        assert rep.iterations == 0 and len(rep.relative_residuals) == 0
+        np.testing.assert_array_equal(U, np.zeros(8))
+
 
 class TestDense:
     def test_one_by_one(self):

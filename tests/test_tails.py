@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from templap import Grid, SchemeParams, tail_integral_left, tail_integral_right
-from templap.tails import _tail_unit_order_far, _tail_unit_order_near, tail_profile
+from templap import Grid, SchemeParams, tail_profile, tails
+from templap.core import e1
+from templap.tails import _tail_unit_order_substitution
 
 
 def tail_oracle(d, beta, lam):
@@ -17,6 +18,10 @@ def tail_oracle(d, beta, lam):
         epsabs=1e-14, epsrel=1e-13, limit=400,
     )
     return val
+
+
+def tail_at(d, params):
+    return float(tail_profile(d, params)[0])
 
 
 def params_for(beta, lam):
@@ -30,18 +35,18 @@ class TestClosedForms:
     def test_untempered(self):
         g = Grid(0.0, 1.0, 3)  # h = 1/4, x_1 - a = 1/4
         p = SchemeParams(beta=0.5, lam=0.0, s=0, s1=0)
-        assert tail_integral_left(1, p, g) == pytest.approx(4.0, rel=1e-14)
-        assert tail_integral_right(3, p, g) == pytest.approx(4.0, rel=1e-14)
+        assert tail_at(g.nodes[1] - g.a, p) == pytest.approx(4.0, rel=1e-14)
+        assert tail_at(g.b - g.nodes[3], p) == pytest.approx(4.0, rel=1e-14)
         g2 = Grid(0.0, 1.0, 3)
         p1 = SchemeParams(beta=1.0, lam=0.0, s=1, s1=1)
-        assert tail_integral_left(2, p1, g2) == pytest.approx(2.0, rel=1e-14)
+        assert tail_at(g2.nodes[2] - g2.a, p1) == pytest.approx(2.0, rel=1e-14)
 
     def test_reflection_symmetry(self):
         g = Grid(0.0, 1.0, 15)
         p = params_for(0.7, 2.0)
         for i in range(1, 8):
-            assert tail_integral_right(g.M + 1 - i, p, g) == pytest.approx(
-                tail_integral_left(i, p, g), rel=1e-14)
+            assert tail_at(g.b - g.nodes[g.M + 1 - i], p) == pytest.approx(
+                tail_at(g.nodes[i] - g.a, p), rel=1e-14)
 
 
 class TestOracleAgreement:
@@ -72,8 +77,8 @@ class TestBranchSeam:
     @pytest.mark.parametrize("lam", [0.5, 2.0, 3.0])
     def test_recipes_agree_at_threshold(self, lam):
         d = np.array([1.0 / (2.0 * lam)])
-        near = float(_tail_unit_order_near(d, lam)[0])
-        far = float(_tail_unit_order_far(d, lam)[0])
+        near = float(np.exp(-lam * d[0]) / d[0] - lam * e1(lam * d[0]))
+        far = float(_tail_unit_order_substitution(d, lam)[0])
         assert near == pytest.approx(far, rel=1e-8)
 
     def test_values_continuous_across_threshold(self):
@@ -116,24 +121,20 @@ class TestStructure:
                      * (width ** (-beta) - (width + delta) ** (-beta)) / beta)
             assert np.all(B >= bound), (beta, lam, width)
 
-    def test_node_doubling_drift(self):
+    def test_node_doubling_drift(self, monkeypatch):
         p = params_for(0.6, 2.5)
         d = np.array([0.05, 0.4, 1.3])
-        v64 = tail_profile(d, p, n_points=64)
-        v128 = tail_profile(d, p, n_points=128)
-        np.testing.assert_allclose(v64, v128, rtol=1e-12)
         p1 = params_for(1.0, 2.5)
         dd = np.array([0.21, 0.8, 1.5])  # all beyond the threshold 0.2
-        w128 = tail_profile(dd, p1, n_points=128)
-        w256 = tail_profile(dd, p1, n_points=256)
+        assert (tails.GAUSS_JACOBI_POINTS, tails.TAIL_SUBSTITUTION_POINTS) == (64, 128)
+        v64, w128 = tail_profile(d, p), tail_profile(dd, p1)
+        monkeypatch.setattr(tails, "GAUSS_JACOBI_POINTS", 128)
+        monkeypatch.setattr(tails, "TAIL_SUBSTITUTION_POINTS", 256)
+        v128, w256 = tail_profile(d, p), tail_profile(dd, p1)
+        np.testing.assert_allclose(v64, v128, rtol=1e-12)
         np.testing.assert_allclose(w128, w256, rtol=1e-12)
 
     def test_domain_errors(self):
-        g = Grid(0.0, 1.0, 7)
         p = params_for(0.5, 1.0)
-        with pytest.raises(ValueError):
-            tail_integral_left(0, p, g)
-        with pytest.raises(ValueError):
-            tail_integral_right(8, p, g)
         with pytest.raises(ValueError):
             tail_profile(np.array([0.5, -0.1]), p)
