@@ -187,13 +187,16 @@ def _exterior_load_profile(boundary: BoundarySpec, params: SchemeParams, grid: G
     if extent <= 0.0:
         return np.zeros(M)
     breaks = geometric_breakpoints(0.0, extent, first_width=grid.h)
-    pts, wts = panel_quadrature_points(breaks, PANEL_POINTS)
+    pts, wts = panel_quadrature_points(breaks[:-1], breaks[1:], PANEL_POINTS)
     y = (a - pts) if side == "left" else (b + pts)
     g = np.asarray(boundary.exterior_g(y), dtype=float)
     x = grid.interior
     dist = (x[:, None] - y[None, :]) if side == "left" else (y[None, :] - x[:, None])
-    kern = np.exp(-lam * dist) * dist ** (-1.0 - beta)
-    return (g[None, :] * kern) @ wts
+    # e^{-lam d} d^{-1-beta} as exp(-lam d - (1+beta) ln d), in place.
+    kern = np.log(dist)
+    kern *= -(1.0 + beta)
+    kern -= np.multiply(dist, lam, out=dist)
+    return np.exp(kern, out=kern) @ (g * wts)
 
 
 def assemble_rhs(f_values: np.ndarray, boundary: BoundarySpec, params: SchemeParams,

@@ -133,7 +133,7 @@ def _solve_level(config: ExperimentConfig, grid: Grid, F: np.ndarray):
     if config.solver == "dense":
         start = time.perf_counter()
         U = dense_gauss_solve(materialize_dense(op), F)
-        report = SolveReport(0, np.empty(0), time.perf_counter() - start, True)
+        report = SolveReport(0, np.empty(0), time.perf_counter() - start, "converged")
         return U, report
     if config.solver == "cg":
         return cg_solve(op, F, tol=config.tolerance, max_iter=config.max_iter)

@@ -102,11 +102,11 @@ def geometric_breakpoints(start: float, stop: float, first_width: float,
     return np.array(edges)
 
 
-def panel_quadrature_points(breaks: np.ndarray, n: int):
-    """Concatenated Gauss-Legendre points/weights over consecutive panels."""
+def panel_quadrature_points(lo: np.ndarray, hi: np.ndarray, n: int):
+    """Concatenated Gauss-Legendre points/weights, n per panel [lo_k, hi_k]."""
     rule = gauss_legendre_rule(n)
-    lo = np.asarray(breaks[:-1], dtype=float)
-    hi = np.asarray(breaks[1:], dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
     mid = (hi + lo) / 2.0
     rad = (hi - lo) / 2.0
     pts = (mid[:, None] + rad[:, None] * rule.nodes[None, :]).ravel()

@@ -4,9 +4,9 @@ Both solvers start from the zero initial guess and stop when the true
 (unpreconditioned) relative residual ||r_k|| / ||r_0|| drops to the
 requested tolerance; preconditioning only redirects the search directions.
 Hitting the iteration cap, or a search direction along which the operator
-is not positive definite, returns the current iterate with the report
-flagged, never an exception.  A non-finite right-hand side is rejected
-before iterating.
+is not positive definite, returns the current iterate with the report's
+``reason`` saying so, never an exception.  A non-finite right-hand side is
+rejected before iterating.
 """
 
 from __future__ import annotations
@@ -20,12 +20,19 @@ import numpy as np
 
 @dataclass
 class SolveReport:
-    """Iteration count, per-iteration relative residuals, wall time, flag."""
+    """Iteration count, per-iteration relative residuals, wall time, reason.
+
+    ``reason`` is "converged", "max_iter" or "breakdown" (p.Ap not positive).
+    """
 
     iterations: int
     relative_residuals: np.ndarray
     wall_time: float
-    converged: bool
+    reason: str
+
+    @property
+    def converged(self) -> bool:
+        return self.reason == "converged"
 
 
 def cg_solve(op, F, tol: float = 1e-9, max_iter: int | None = None):
@@ -60,7 +67,7 @@ def pcg_solve(op, F, precond, tol: float = 1e-9, max_iter: int | None = None):
     r = F.copy()
     r0 = float(np.linalg.norm(r))
     if r0 == 0.0:
-        return x, SolveReport(0, np.empty(0), time.perf_counter() - start, True)
+        return x, SolveReport(0, np.empty(0), time.perf_counter() - start, "converged")
 
     z = apply_m(r) if apply_m else r
     p = z.copy()
@@ -86,7 +93,9 @@ def pcg_solve(op, F, precond, tol: float = 1e-9, max_iter: int | None = None):
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, SolveReport(k, np.asarray(residuals), time.perf_counter() - start, converged)
+    # Breakdown leaves the loop before k reaches the cap.
+    reason = "converged" if converged else "max_iter" if k >= max_iter else "breakdown"
+    return x, SolveReport(k, np.asarray(residuals), time.perf_counter() - start, reason)
 
 
 def dense_gauss_solve(dense: np.ndarray, F: np.ndarray) -> np.ndarray:

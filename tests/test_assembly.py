@@ -151,6 +151,24 @@ class TestBoundaryLoads:
         assert d1 == pytest.approx(6.0 - 4.0 * math.sqrt(2.0), rel=1e-10)
         assert d2 > 0.0
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
+    @pytest.mark.parametrize("lam", [0.5, 3.0])
+    def test_tempered_loads_match_adaptive_quadrature(self, beta, lam):
+        # g(y) e^{-lam |x - y|} |x - y|^{-1-beta} over each exterior piece.
+        p = SchemeParams(beta=beta, lam=lam, s=1, s1=1)
+        grid = Grid(0.0, 1.0, 15)
+        boundary = BoundarySpec(exterior_g=example2_exterior, support=(-0.5, 1.5))
+        pieces = {"left": (-0.5, 0.0), "right": (1.0, 1.5)}
+        for side, (lo, hi) in pieces.items():
+            load = _exterior_load_profile(boundary, p, grid, side)
+            for i in (1, 8, 15):
+                x = grid.interior[i - 1]
+                integrand = lambda y: float(example2_exterior(y)) \
+                    * math.exp(-lam * abs(x - y)) * abs(x - y) ** (-1.0 - beta)
+                ref, _ = scipy.integrate.quad(integrand, lo, hi, epsabs=0.0,
+                                              epsrel=1e-13, limit=200)
+                assert load[i - 1] == pytest.approx(ref, rel=1e-10), (side, i)
+
     def test_disjoint_support_gives_zero_left_load(self):
         g_right = lambda y: np.where((np.asarray(y) >= 1.0) & (np.asarray(y) <= 1.5),
                                      1.0, 0.0)

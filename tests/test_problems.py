@@ -1,5 +1,6 @@
 """Benchmark problem setups: sources, exterior data, exact solutions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,8 +21,9 @@ from templap import (
     materialize_dense,
     reference_apply_operator,
 )
+from templap import problems
 from templap.assembly import _exterior_load_profile
-from templap.problems import EXAMPLE2_SUPPORT, example2_extension
+from templap.problems import EXAMPLE2_SUPPORT, example2_extension, example2_second_difference
 
 
 class TestProblem1:
@@ -68,20 +70,37 @@ class TestProblem2:
         np.testing.assert_allclose(f, f[::-1], rtol=1e-12)  # symmetric data
 
     def test_source_matches_pointwise_reference(self):
-        from templap.problems import example2_second_difference
-
-        p = SchemeParams(beta=1.5, lam=3.0, s=1, s1=1)
         grid = Grid(0.0, 1.0, 16)
-        f, _, _ = example2_setup(p, grid)
-        for idx in (0, 7, 12):
-            x = float(grid.interior[idx])
-            exact_sd = reference_apply_operator(
-                example2_extension, x, p, 0.0, 1.0, support=EXAMPLE2_SUPPORT,
-                second_difference=example2_second_difference)
-            generic = reference_apply_operator(
-                example2_extension, x, p, 0.0, 1.0, support=EXAMPLE2_SUPPORT)
-            assert f[idx] == pytest.approx(exact_sd, rel=1e-12)
-            assert f[idx] == pytest.approx(generic, abs=2e-9)
+        for beta, lam in itertools.product((0.5, 1.0, 1.5), (0.0, 3.0)):
+            p = SchemeParams(beta=beta, lam=lam, s=1, s1=1)
+            f, _, _ = example2_setup(p, grid)
+            for idx, x in enumerate(grid.interior):
+                exact_sd = reference_apply_operator(
+                    example2_extension, float(x), p, 0.0, 1.0, support=EXAMPLE2_SUPPORT,
+                    second_difference=example2_second_difference)
+                generic = reference_apply_operator(
+                    example2_extension, float(x), p, 0.0, 1.0, support=EXAMPLE2_SUPPORT)
+                assert f[idx] == pytest.approx(exact_sd, rel=1e-12), (beta, lam, idx)
+                assert f[idx] == pytest.approx(generic, abs=2e-9), (beta, lam, idx)
+
+    def test_source_calls_u_a_fixed_number_of_times(self, monkeypatch):
+        # The source is one batched pass over the lower-half nodes, so u is
+        # evaluated a fixed number of times however many nodes there are; a
+        # per-node loop would scale with M.
+        p = SchemeParams(beta=1.5, lam=3.0, s=1, s1=1)
+        calls = []
+
+        def counting_extension(y):
+            calls.append(1)
+            return example2_extension(y)
+
+        monkeypatch.setattr(problems, "example2_extension", counting_extension)
+        counts = {}
+        for M in (16, 256):
+            calls.clear()
+            example2_setup(p, Grid(0.0, 1.0, M))
+            counts[M] = len(calls)
+        assert 0 < counts[16] == counts[256]
 
     def test_exterior_loads_nonnegative(self):
         # Both exterior pieces are nonnegative, so the kernel-weighted loads are too.

@@ -11,6 +11,7 @@ from templap import (
     reference_apply_operator,
     tail_profile,
 )
+from templap.problems import EXAMPLE2_SUPPORT, example2_extension, example2_second_difference
 
 
 def extended_cubic(y):
@@ -43,10 +44,7 @@ def test_agrees_with_manufactured_source_route(beta, lam, s, s1):
     p = SchemeParams(beta=beta, lam=lam, s=s, s1=s1)
     grid = Grid(0.0, 1.0, 31)
     closed = example1_f(p, grid)
-    direct = np.array([
-        reference_apply_operator(extended_cubic, float(x), p, 0.0, 1.0)
-        for x in grid.interior
-    ])
+    direct = reference_apply_operator(extended_cubic, grid.interior, p, 0.0, 1.0)
     np.testing.assert_allclose(direct, closed, atol=1e-8)
 
 
@@ -68,6 +66,15 @@ def test_rejects_exterior_points():
         reference_apply_operator(extended_cubic, 0.0, p, 0.0, 1.0)
     with pytest.raises(ValueError):
         reference_apply_operator(extended_cubic, 1.2, p, 0.0, 1.0)
+    with pytest.raises(ValueError):  # one exterior point spoils the batch
+        reference_apply_operator(extended_cubic, np.array([0.3, 1.2, 0.5]), p, 0.0, 1.0)
+
+
+def test_scalar_point_returns_python_float():
+    p = SchemeParams(beta=0.5, lam=1.0, s=0, s1=0)
+    assert type(reference_apply_operator(extended_cubic, 0.3, p, 0.0, 1.0)) is float
+    out = reference_apply_operator(extended_cubic, np.array([0.3]), p, 0.0, 1.0)
+    assert isinstance(out, np.ndarray) and out.shape == (1,)
 
 
 def test_normalization_toggle_scales_output():
@@ -77,3 +84,28 @@ def test_normalization_toggle_scales_output():
     v_on = reference_apply_operator(extended_cubic, x, p_on, 0.0, 1.0)
     v_off = reference_apply_operator(extended_cubic, x, p_off, 0.0, 1.0)
     assert v_on == pytest.approx(p_on.cbeta * v_off, rel=1e-13)
+
+
+# Nodes in both halves of (0, 1) plus the midpoint, where both sides have
+# reach == delta when u vanishes outside [a, b] (no far field at all).
+BATCH_POINTS = np.array([0.013, 0.2, 0.37, 0.5, 0.61, 0.9, 0.987])
+
+
+@pytest.mark.parametrize("beta,lam,s,s1", [
+    (0.5, 0.0, 0, 0), (0.5, 3.0, 1, 1), (1.0, 0.5, 1, 1), (1.5, 3.0, 0, 1),
+])
+@pytest.mark.parametrize("route", ["no support", "support, generic", "support, exact sd"])
+def test_batched_points_equal_pointwise_calls(beta, lam, s, s1, route):
+    p = SchemeParams(beta=beta, lam=lam, s=s, s1=s1)
+    if route == "no support":
+        u, kw = extended_cubic, {}
+    else:
+        u, kw = example2_extension, {"support": EXAMPLE2_SUPPORT}
+        if route == "support, exact sd":
+            kw["second_difference"] = example2_second_difference
+    batched = reference_apply_operator(u, BATCH_POINTS, p, 0.0, 1.0, **kw)
+    pointwise = np.array([reference_apply_operator(u, float(x), p, 0.0, 1.0, **kw)
+                          for x in BATCH_POINTS])
+    assert batched.shape == BATCH_POINTS.shape
+    assert np.all(pointwise != 0.0)
+    np.testing.assert_allclose(batched, pointwise, rtol=1e-14, atol=0.0)

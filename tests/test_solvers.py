@@ -33,7 +33,7 @@ class TestCG:
         F = np.arange(1.0, 17.0)
         U, rep = cg_solve(op, F, tol=1e-12)
         assert rep.iterations == 1
-        assert rep.converged
+        assert rep.converged and rep.reason == "converged"
         np.testing.assert_allclose(U, F, rtol=1e-12)
 
     def test_finite_termination_four_distinct_eigenvalues(self):
@@ -49,15 +49,16 @@ class TestCG:
         grid = Grid(0.0, 1.0, 63)
         op = assemble_operator(SchemeParams(beta=1.5, lam=0.0, s=1, s1=1), grid)
         F = np.ones(grid.M)
-        U, rep = cg_solve(op, F, tol=1e-14, max_iter=3)
-        assert rep.iterations == 3
-        assert not rep.converged
-        assert np.all(np.isfinite(U))
+        for cap in (1, 3):
+            U, rep = cg_solve(op, F, tol=1e-14, max_iter=cap)
+            assert rep.iterations == cap
+            assert not rep.converged and rep.reason == "max_iter"
+            assert np.all(np.isfinite(U))
 
     def test_zero_rhs(self):
         op = diagonal_operator(np.ones(8))
         U, rep = cg_solve(op, np.zeros(8))
-        assert rep.iterations == 0 and rep.converged
+        assert rep.iterations == 0 and rep.reason == "converged"
         np.testing.assert_array_equal(U, np.zeros(8))
 
     def test_residual_sequence_contract(self):
@@ -120,7 +121,7 @@ class TestPCG:
         # instead of dividing by zero.
         op = diagonal_operator(np.zeros(8))
         U, rep = cg_solve(op, np.ones(8))
-        assert not rep.converged
+        assert not rep.converged and rep.reason == "breakdown"
         assert rep.iterations == 0 and len(rep.relative_residuals) == 0
         np.testing.assert_array_equal(U, np.zeros(8))
 
