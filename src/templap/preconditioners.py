@@ -9,7 +9,15 @@ preconditioner is two banded triangular solves, O(k M).
 Circulant route: replace the diagonal by its mean to get a genuine
 Toeplitz matrix G, then take the closest circulant in Frobenius norm,
 whose first column is c_k = ((M-k) t_k + k t_{M-k}) / M.  The circulant is
-diagonalized by the FFT; application is O(M log M).
+diagonalized by the FFT; application is O(M log M).  When M has a prime
+factor p with p*p > M (M = 2^13 - 1 is prime), numpy's pocketfft does a
+length-M transform by Bluestein's algorithm, and the solve takes four to
+eight times as long as the same product through a power-of-two FFT.  For
+those M the inverse circulant's first column is formed once at build and
+applied as a symmetric Toeplitz matrix (power-of-two embedding, see
+toeplitz.py).  Every other M divides by the spectrum in length-M
+transforms, which keeps their rounding, and so the tabulated errors and
+iteration counts, unchanged.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .assembly import OperatorMatrix, offdiag_row_sums
+from .toeplitz import SymToeplitz
 
 SPECTRUM_IMAG_TOL = 1e-13
 
@@ -30,14 +39,37 @@ class CirculantPrecond:
 
     first_col: np.ndarray
     spectrum: np.ndarray  # rfft of first_col, validated real and positive
+    inverse: SymToeplitz | None = None  # C^{-1}, set when has_large_prime_factor(M)
 
     @property
     def M(self) -> int:
         return self.first_col.size
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Solve C x = v by pointwise division in Fourier space."""
+        """Solve C x = v.
+
+        With ``inverse`` set (M has a prime factor p, p*p > M), x is the
+        product of the symmetric Toeplitz matrix C^{-1} with v, through a
+        power-of-two FFT of length >= 2M.  Otherwise x is found by pointwise
+        division in Fourier space with length-M transforms.
+        """
+        if self.inverse is not None:
+            return self.inverse.matvec(v)
         return np.fft.irfft(np.fft.rfft(v) / self.spectrum, n=self.M)
+
+
+def has_large_prime_factor(M: int) -> bool:
+    """True when M has a prime factor p with p*p > M.
+
+    Those are the lengths pocketfft may do by Bluestein's algorithm; at
+    every other length it factors the transform directly.
+    """
+    n, p = M, 2
+    while p * p <= n:
+        while n % p == 0:
+            n //= p
+        p += 1
+    return n * n > M  # n is now 1 or the largest prime factor of M
 
 
 def tchan_column(toeplitz_first_col: np.ndarray) -> np.ndarray:
@@ -70,7 +102,10 @@ def build_tchan_precond(op: OperatorMatrix) -> CirculantPrecond:
         )
     c.flags.writeable = False
     spectrum.flags.writeable = False
-    return CirculantPrecond(first_col=c, spectrum=spectrum)
+    inverse = None
+    if has_large_prime_factor(c.size):
+        inverse = SymToeplitz(np.fft.irfft(1.0 / spectrum, n=c.size))
+    return CirculantPrecond(first_col=c, spectrum=spectrum, inverse=inverse)
 
 
 class BandedCholPrecond:

@@ -3,7 +3,7 @@
 A symmetric Toeplitz matrix is determined by its first column; embedding
 that column into a circulant of length >= 2M (next power of two, zero
 padded) diagonalizes the product by FFT, giving O(M log M) matvecs.  The
-embedded spectrum is computed once and cached on the instance.
+embedded spectrum is computed once, at construction.
 """
 
 from __future__ import annotations
@@ -19,20 +19,12 @@ class SymToeplitz:
         if col.ndim != 1 or col.size == 0:
             raise ValueError("first column must be a nonempty 1-D array")
         self.first_col = col
-        self.M = col.size
-        self._embed_len = 1 << (2 * self.M - 1).bit_length()
-        self._spectrum = None
-
-    @property
-    def spectrum(self) -> np.ndarray:
-        """rfft of the circulant embedding (computed on first use)."""
-        if self._spectrum is None:
-            L, M = self._embed_len, self.M
-            c = np.zeros(L)
-            c[:M] = self.first_col
-            c[L - M + 1:] = self.first_col[1:][::-1]
-            self._spectrum = np.fft.rfft(c)
-        return self._spectrum
+        M = self.M = col.size
+        L = self._embed_len = 1 << (2 * M - 1).bit_length()
+        c = np.zeros(L)
+        c[:M] = col
+        c[L - M + 1:] = col[1:][::-1]
+        self.spectrum = np.fft.rfft(c)  # of the circulant embedding
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)

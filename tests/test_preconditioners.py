@@ -15,7 +15,7 @@ from templap import (
     materialize_dense,
     pcg_solve,
 )
-from templap.preconditioners import tchan_column
+from templap.preconditioners import has_large_prime_factor, tchan_column
 
 
 def example_op(beta=0.5, lam=0.5, M=255):
@@ -42,6 +42,63 @@ class TestCirculant:
         v = rng.standard_normal(op.M)
         np.testing.assert_allclose(C.apply(B @ v), v, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(B @ C.apply(v), v, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("M", [254, 255, 256, 257, 1021])
+    def test_apply_inverts_circulant_on_both_paths(self, M):
+        # 254 = 2*127, 255 = 3*5*17, 257 and 1021 (prime) take the Toeplitz
+        # inverse; 256 divides by the spectrum.
+        op = example_op(M=M)
+        C = build_tchan_precond(op)
+        assert (C.inverse is not None) == (M != 256)
+        B = scipy.linalg.circulant(C.first_col)
+        v = np.random.default_rng(M).standard_normal(M)
+        np.testing.assert_allclose(B @ C.apply(v), v, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(C.apply(B @ v), v, rtol=1e-12, atol=1e-12)
+
+    def test_toeplitz_inverse_matches_spectral_division_at_prime_M(self):
+        op = example_op(M=8191)
+        C = build_tchan_precond(op)
+        v = np.random.default_rng(1).standard_normal(op.M)
+        ref = np.fft.irfft(np.fft.rfft(v) / C.spectrum, n=op.M)
+        x = C.apply(v)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("M", [1024, 4095, 8191, 16383])
+    def test_apply_transform_lengths(self, M, monkeypatch):
+        # A prime M would send pocketfft to Bluestein's algorithm, so the apply
+        # must use power-of-two transforms there; at every other M it must
+        # keep the length-M spectral division bit for bit.
+        op = example_op(M=M)
+        C = build_tchan_precond(op)
+        v = np.random.default_rng(2).standard_normal(M)
+        lengths = []
+        rfft = np.fft.rfft
+
+        def recording_rfft(a, n=None, *args, **kwargs):
+            lengths.append(len(a) if n is None else n)
+            return rfft(a, n, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", recording_rfft)
+        x = C.apply(v)
+        monkeypatch.undo()
+        if M == 8191:
+            assert lengths and all(n & (n - 1) == 0 for n in lengths), lengths
+        else:
+            assert lengths == [M]
+            np.testing.assert_array_equal(
+                x, np.fft.irfft(np.fft.rfft(v) / C.spectrum, n=M))
+
+    def test_large_prime_factor_rule(self):
+        def largest_prime_factor(M):
+            primes = [p for p in range(2, M + 1)
+                      if M % p == 0 and all(p % q for q in range(2, p))]
+            return max(primes, default=1)
+
+        for M in range(1, 300):
+            assert has_large_prime_factor(M) == (largest_prime_factor(M) ** 2 > M), M
+        assert has_large_prime_factor(8191) and has_large_prime_factor(2047)
+        for smooth in (1, 1023, 1024, 4095, 16383, 32767):
+            assert not has_large_prime_factor(smooth)
 
     def test_spectrum_strictly_positive(self):
         for beta in (0.5, 1.0, 1.5):
