@@ -9,20 +9,25 @@ preconditioner is two banded triangular solves, O(k M).
 Circulant route: replace the diagonal by its mean to get a genuine
 Toeplitz matrix G, then take the closest circulant in Frobenius norm,
 whose first column is c_k = ((M-k) t_k + k t_{M-k}) / M.  The circulant is
-diagonalized by the FFT; application is O(M log M).  When M has a prime
-factor p with p*p > M (M = 2^13 - 1 is prime), numpy's pocketfft does a
-length-M transform by Bluestein's algorithm, and the solve takes four to
-eight times as long as the same product through a power-of-two FFT.  For
-those M the inverse circulant's first column is formed once at build and
-applied as a symmetric Toeplitz matrix (power-of-two embedding, see
-toeplitz.py).  Every other M divides by the spectrum in length-M
-transforms, which keeps their rounding, and so the tabulated errors and
-iteration counts, unchanged.
+diagonalized by the FFT; application is O(M log M).  At composite M, apply
+divides by the spectrum in length-M transforms.  At a prime M, pocketfft
+(numpy's FFT) has no factor to split: it does the length-M transform as a
+direct O(M^2) sum or, for large M such as 2^13 - 1 = 8191, by Bluestein's
+algorithm.  So at prime M > 100 the inverse circulant's first column is
+formed once at build, and apply is its symmetric Toeplitz product through
+the power-of-two embedding of toeplitz.py.  Timed per apply (numpy 2.4, one
+thread, 2-vCPU x86-64), that took 0.4-0.7 of the division's time at primes
+101-263 and 0.1-0.15 at 8191; below 100 the two were within noise.
+Composite M keep the division and its rounding, so their tabulated errors
+and iteration counts: it was as fast or faster at 255 = 3*5*17, 256, 1024
+and 4095, and the embedding saved at most 30% at 511 = 7*73 and
+2047 = 23*89.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
@@ -39,7 +44,13 @@ class CirculantPrecond:
 
     first_col: np.ndarray
     spectrum: np.ndarray  # rfft of first_col, validated real and positive
-    inverse: SymToeplitz | None = None  # C^{-1}, set when has_large_prime_factor(M)
+    inverse: SymToeplitz | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        inverse = None
+        if embeds_inverse(self.M):
+            inverse = SymToeplitz(np.fft.irfft(1.0 / self.spectrum, n=self.M))
+        object.__setattr__(self, "inverse", inverse)  # C^{-1}, from M alone
 
     @property
     def M(self) -> int:
@@ -48,28 +59,19 @@ class CirculantPrecond:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Solve C x = v.
 
-        With ``inverse`` set (M has a prime factor p, p*p > M), x is the
-        product of the symmetric Toeplitz matrix C^{-1} with v, through a
-        power-of-two FFT of length >= 2M.  Otherwise x is found by pointwise
-        division in Fourier space with length-M transforms.
+        At prime M > 100 (``inverse`` set), x is the product of the
+        symmetric Toeplitz matrix C^{-1} with v, through a power-of-two FFT
+        of length >= 2M.  At every other M, x is found by pointwise division
+        in Fourier space with length-M transforms.
         """
         if self.inverse is not None:
             return self.inverse.matvec(v)
         return np.fft.irfft(np.fft.rfft(v) / self.spectrum, n=self.M)
 
 
-def has_large_prime_factor(M: int) -> bool:
-    """True when M has a prime factor p with p*p > M.
-
-    Those are the lengths pocketfft may do by Bluestein's algorithm; at
-    every other length it factors the transform directly.
-    """
-    n, p = M, 2
-    while p * p <= n:
-        while n % p == 0:
-            n //= p
-        p += 1
-    return n * n > M  # n is now 1 or the largest prime factor of M
+def embeds_inverse(M: int) -> bool:
+    """True when M is a prime above 100, where apply multiplies by C^{-1}."""
+    return M > 100 and all(M % p for p in range(2, math.isqrt(M) + 1))
 
 
 def tchan_column(toeplitz_first_col: np.ndarray) -> np.ndarray:
@@ -102,10 +104,7 @@ def build_tchan_precond(op: OperatorMatrix) -> CirculantPrecond:
         )
     c.flags.writeable = False
     spectrum.flags.writeable = False
-    inverse = None
-    if has_large_prime_factor(c.size):
-        inverse = SymToeplitz(np.fft.irfft(1.0 / spectrum, n=c.size))
-    return CirculantPrecond(first_col=c, spectrum=spectrum, inverse=inverse)
+    return CirculantPrecond(first_col=c, spectrum=spectrum)
 
 
 class BandedCholPrecond:

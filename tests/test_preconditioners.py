@@ -15,7 +15,7 @@ from templap import (
     materialize_dense,
     pcg_solve,
 )
-from templap.preconditioners import has_large_prime_factor, tchan_column
+from templap.preconditioners import embeds_inverse, tchan_column
 
 
 def example_op(beta=0.5, lam=0.5, M=255):
@@ -33,27 +33,34 @@ class TestTChanColumn:
         np.testing.assert_allclose(tchan_column(np.ones(7)), np.ones(7), rtol=1e-15)
 
 
+def assert_inverts_circulant(C, seed=0):
+    B = scipy.linalg.circulant(C.first_col)
+    v = np.random.default_rng(seed).standard_normal(C.M)
+    np.testing.assert_allclose(C.apply(B @ v), v, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(B @ C.apply(v), v, rtol=1e-12, atol=1e-12)
+
+
 class TestCirculant:
     def test_apply_matvec_round_trip(self):
         op = example_op()
         C = build_tchan_precond(op)
-        B = scipy.linalg.circulant(C.first_col)
-        rng = np.random.default_rng(0)
-        v = rng.standard_normal(op.M)
-        np.testing.assert_allclose(C.apply(B @ v), v, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(B @ C.apply(v), v, rtol=1e-12, atol=1e-12)
+        assert C.inverse is None  # M = 255 = 3*5*17 divides by the spectrum
+        assert_inverts_circulant(C)
 
-    @pytest.mark.parametrize("M", [254, 255, 256, 257, 1021])
+    @pytest.mark.parametrize("M", [254, 256, 257, 1021])
     def test_apply_inverts_circulant_on_both_paths(self, M):
-        # 254 = 2*127, 255 = 3*5*17, 257 and 1021 (prime) take the Toeplitz
-        # inverse; 256 divides by the spectrum.
-        op = example_op(M=M)
-        C = build_tchan_precond(op)
-        assert (C.inverse is not None) == (M != 256)
-        B = scipy.linalg.circulant(C.first_col)
-        v = np.random.default_rng(M).standard_normal(M)
-        np.testing.assert_allclose(B @ C.apply(v), v, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(C.apply(B @ v), v, rtol=1e-12, atol=1e-12)
+        # Composite 254 and 256 divide by the spectrum; primes 257 and 1021
+        # multiply by the Toeplitz inverse.
+        C = build_tchan_precond(example_op(M=M))
+        assert (C.inverse is not None) == (M in (257, 1021))
+        assert_inverts_circulant(C, seed=M)
+
+    def test_inverse_follows_from_M_alone(self):
+        C = build_tchan_precond(example_op(M=8191))
+        rebuilt = type(C)(first_col=C.first_col, spectrum=C.spectrum)
+        np.testing.assert_array_equal(rebuilt.inverse.first_col, C.inverse.first_col)
+        with pytest.raises(TypeError):
+            type(C)(first_col=C.first_col, spectrum=C.spectrum, inverse=None)
 
     def test_toeplitz_inverse_matches_spectral_division_at_prime_M(self):
         op = example_op(M=8191)
@@ -63,11 +70,11 @@ class TestCirculant:
         x = C.apply(v)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
-    @pytest.mark.parametrize("M", [1024, 4095, 8191, 16383])
+    @pytest.mark.parametrize("M", [511, 1024, 2047, 4095, 8191, 16383])
     def test_apply_transform_lengths(self, M, monkeypatch):
-        # A prime M would send pocketfft to Bluestein's algorithm, so the apply
-        # must use power-of-two transforms there; at every other M it must
-        # keep the length-M spectral division bit for bit.
+        # At prime 8191 pocketfft would use Bluestein's algorithm, so the apply
+        # must use power-of-two transforms there; at composite M it must keep
+        # the length-M spectral division bit for bit.
         op = example_op(M=M)
         C = build_tchan_precond(op)
         v = np.random.default_rng(2).standard_normal(M)
@@ -88,17 +95,13 @@ class TestCirculant:
             np.testing.assert_array_equal(
                 x, np.fft.irfft(np.fft.rfft(v) / C.spectrum, n=M))
 
-    def test_large_prime_factor_rule(self):
-        def largest_prime_factor(M):
-            primes = [p for p in range(2, M + 1)
-                      if M % p == 0 and all(p % q for q in range(2, p))]
-            return max(primes, default=1)
-
-        for M in range(1, 300):
-            assert has_large_prime_factor(M) == (largest_prime_factor(M) ** 2 > M), M
-        assert has_large_prime_factor(8191) and has_large_prime_factor(2047)
-        for smooth in (1, 1023, 1024, 4095, 16383, 32767):
-            assert not has_large_prime_factor(smooth)
+    def test_embedding_rule(self):
+        primes = [p for p in range(2, 400) if all(p % q for q in range(2, p))]
+        for M in range(1, 400):
+            assert embeds_inverse(M) == (M in primes and M > 100), M
+        assert embeds_inverse(8191) and embeds_inverse(16381)
+        for composite in (1023, 1024, 2047, 4095, 16383, 32767, 65535):
+            assert not embeds_inverse(composite)
 
     def test_spectrum_strictly_positive(self):
         for beta in (0.5, 1.0, 1.5):

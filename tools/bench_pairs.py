@@ -3,6 +3,9 @@
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload p1-tables --pairs 10 [--seconds 35] [--seed 1] [--out runs.json]
 
+``--workload`` repeats; ``--workload all`` runs every workload that the
+change's BENCHMARK.json lists.
+
 Each pair runs ``python3 -m perfbench.run --trace 0`` once in each checkout,
 with the same seed; even pairs run the parent first, odd pairs the change
 first, so a slow episode of a shared machine does not always land on one
@@ -62,7 +65,7 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--workload", action="append", required=True,
-                    help="repeat for several workloads")
+                    help="repeat for several workloads; 'all' runs every one")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=35.0)
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair")
@@ -71,12 +74,18 @@ def main(argv=None) -> int:
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    names = [w["name"] for w in spec["workloads"]]
+    workloads = []
+    for w in args.workload:
+        if w not in names + ["all"]:
+            ap.error(f"unknown workload {w!r}; choose from {', '.join(names)} or all")
+        workloads += names if w == "all" else [w]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    runs: dict[str, list[dict]] = {w: [] for w in args.workload}
+    runs: dict[str, list[dict]] = {w: [] for w in workloads}
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for workload in args.workload:
+        for workload in runs:
             pair = {"seed": seed, "first": order[0]}
             for side in order:
                 pair[side] = run_once(sides[side], workload, seed, args.seconds)
