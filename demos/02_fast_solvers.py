@@ -18,8 +18,6 @@ from templap import (
     assemble_operator,
     build_band_compensated_ichol,
     build_tchan_precond,
-    cg_solve,
-    dense_gauss_solve,
     example1_f,
     materialize_dense,
     pcg_solve,
@@ -35,12 +33,12 @@ for J in (10, 11, 12):
     op = assemble_operator(params, grid)
     F = example1_f(params, grid)
 
-    _, plain = cg_solve(op, F)
+    _, plain = pcg_solve(op, F, None)
     _, banded = pcg_solve(op, F, build_band_compensated_ichol(op, k=10))
     _, circ = pcg_solve(op, F, build_tchan_precond(op))
 
     start = time.perf_counter()
-    dense_gauss_solve(materialize_dense(op), F)
+    np.linalg.solve(materialize_dense(op), F)
     gauss_time = time.perf_counter() - start
 
     fmt = lambda rep: f"{rep.iterations:4d} it {rep.wall_time*1e3:6.1f}ms"

@@ -30,7 +30,6 @@ from .convergence import (
     ConvergenceReport,
     ExperimentConfig,
     compute_rates,
-    emit_report,
     error_norms,
     format_report,
     run_convergence_study,
@@ -50,7 +49,7 @@ from .problems import (
     example3_setup,
 )
 from .reference import reference_apply_operator
-from .solvers import SolveReport, cg_solve, dense_gauss_solve, extreme_eigs, pcg_solve
+from .solvers import SolveReport, pcg_solve
 from .tails import tail_profile
 
 __version__ = "0.1.0"
@@ -69,17 +68,13 @@ __all__ = [
     "assemble_rhs",
     "build_band_compensated_ichol",
     "build_tchan_precond",
-    "cg_solve",
     "compute_rates",
-    "dense_gauss_solve",
-    "emit_report",
     "error_norms",
     "example1_exact",
     "example1_f",
     "example2_setup",
     "example3_exact",
     "example3_setup",
-    "extreme_eigs",
     "format_report",
     "materialize_dense",
     "offdiag_row_sums",

@@ -110,10 +110,6 @@ class BoundarySpec:
             if np.any(np.abs(vals) > 0.0):
                 raise ValueError("exterior_g does not vanish outside the declared support")
 
-    @classmethod
-    def zero(cls) -> "BoundarySpec":
-        return cls()
-
 
 def assemble_offdiagonal(params: SchemeParams, grid: Grid) -> np.ndarray:
     """First column of the Toeplitz off-diagonal part (lags 1..M-1)."""
@@ -223,11 +219,11 @@ def assemble_rhs(f_values: np.ndarray, boundary: BoundarySpec, params: SchemePar
     return F
 
 
-def materialize_dense(op: OperatorMatrix, cap: int = DENSE_CAP) -> np.ndarray:
-    """Dense symmetric matrix from the compact storage (guarded by a size cap)."""
+def materialize_dense(op: OperatorMatrix) -> np.ndarray:
+    """Dense symmetric matrix from the compact storage, for M <= DENSE_CAP."""
     M = op.M
-    if M > cap:
-        raise ValueError(f"refusing to materialize {M}x{M} dense matrix (cap {cap})")
+    if M > DENSE_CAP:
+        raise ValueError(f"refusing to materialize {M}x{M} dense matrix (cap {DENSE_CAP})")
     idx = np.abs(np.arange(M)[:, None] - np.arange(M)[None, :])
     dense = op.toeplitz_col[idx]
     np.fill_diagonal(dense, op.diag)

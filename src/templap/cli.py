@@ -6,9 +6,9 @@
             [--out PATH --format {csv|markdown}] [--radius R]
             [--max-iter N] [--config FILE]
 
-A config file holds the same keys as plain ``key = value`` lines; explicit
-flags override it.  Exit codes: 0 success, 2 non-converged solve, 1 usage
-error.
+A config file holds the same keys as plain ``key = value`` lines, read as
+flags placed ahead of the command line, so explicit flags override it.
+Exit codes: 0 success, 2 non-converged solve, 1 usage error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .convergence import ExperimentConfig, emit_report, format_report, run_convergence_study
+from .convergence import SOLVERS, ExperimentConfig, format_report, run_convergence_study
 from .core import SchemeParams
 
 USAGE_ERROR, NONCONVERGED = 1, 2
@@ -34,7 +34,7 @@ def _parse_levels(text: str) -> tuple[int, ...]:
         lo, hi = text.split("..", 1)
         j1, j2 = int(lo), int(hi)
         if j2 < j1:
-            raise ValueError(f"empty level range {text!r}")
+            raise argparse.ArgumentTypeError(f"empty level range {text!r}")
         return tuple(range(j1, j2 + 1))
     return (int(text),)
 
@@ -42,12 +42,18 @@ def _parse_levels(text: str) -> tuple[int, ...]:
 def _parse_scheme(text: str) -> tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
-        raise ValueError(f"scheme must be 'S,S1', got {text!r}")
+        raise argparse.ArgumentTypeError(f"scheme must be 'S,S1', got {text!r}")
     return int(parts[0]), int(parts[1])
 
 
-def _read_config_file(path) -> dict[str, str]:
-    values = {}
+def _config_tokens(path, parser: argparse.ArgumentParser) -> list[str]:
+    """Command-line tokens for the ``key = value`` lines of a config file.
+
+    A key must name a flag exactly (no prefix).  A valued flag becomes
+    ``--key=value``; ``--no-cbeta`` is set by 1, true or yes and left out
+    otherwise.
+    """
+    tokens = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -56,84 +62,65 @@ def _read_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            values[key] = value
-    return values
+            action = parser._option_string_actions.get("--" + key)
+            if action is None or key in ("config", "help"):
+                raise ValueError(f"unknown config key {key!r}")
+            if action.nargs != 0:
+                tokens.append(f"--{key}={value}")
+            elif value.lower() in ("1", "true", "yes"):
+                tokens.append(f"--{key}")
+    return tokens
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="templap",
+def _build_parsers() -> tuple[_Parser, _Parser]:
+    """The ``--config`` pre-parser, and the full parser that inherits it."""
+    pre = _Parser(prog="templap", add_help=False)
+    pre.add_argument("--config", metavar="FILE", help="key = value file with the same keys")
+    p = _Parser(prog="templap", parents=[pre],
                 description="Convergence studies for the tempered fractional "
                             "Laplacian finite-difference solver.")
-    p.add_argument("--config", metavar="FILE", help="key = value file with the same keys")
-    p.add_argument("--example", type=int, choices=(1, 2, 3))
-    p.add_argument("--beta", type=float)
-    p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--scheme", metavar="S,S1")
-    p.add_argument("--levels", metavar="J1..J2")
-    p.add_argument("--solver", choices=("cg", "pcg-ichol", "pcg-tchan", "dense"))
-    p.add_argument("--tol", type=float)
-    p.add_argument("--band", type=int)
-    p.add_argument("--no-cbeta", action="store_true", default=None,
+    p.add_argument("--example", type=int, choices=(1, 2, 3), required=True)
+    p.add_argument("--beta", type=float, required=True)
+    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--scheme", metavar="S,S1", type=_parse_scheme, default=(0, 0))
+    p.add_argument("--levels", metavar="J1..J2", type=_parse_levels, required=True)
+    p.add_argument("--solver", choices=SOLVERS, default="pcg-tchan")
+    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--band", type=int, default=10)
+    p.add_argument("--no-cbeta", action="store_true",
                    help="assemble the unnormalized operator")
-    p.add_argument("--radius", type=float, help="half-width of the domain for example 3")
+    p.add_argument("--radius", type=float, default=1.0,
+                   help="half-width of the domain for example 3")
     p.add_argument("--max-iter", type=int)
     p.add_argument("--out", metavar="PATH")
-    p.add_argument("--format", choices=("csv", "markdown"))
-    return p
-
-
-_DEFAULTS = {"lam": 0.0, "scheme": "0,0", "solver": "pcg-tchan", "tol": 1e-9,
-             "band": 10, "no_cbeta": False, "radius": 1.0, "max_iter": None,
-             "format": "csv"}
-
-_CONFIG_KEYS = {"example": int, "beta": float, "lambda": float, "scheme": str,
-                "levels": str, "solver": str, "tol": float, "band": int,
-                "no-cbeta": lambda v: v.lower() in ("1", "true", "yes"),
-                "radius": float, "max-iter": int, "out": str, "format": str}
+    p.add_argument("--format", choices=("csv", "markdown"), default="csv")
+    return pre, p
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    pre, parser = _build_parsers()
     try:
+        config_file = pre.parse_known_args(argv)[0].config
+        if config_file:
+            argv = _config_tokens(config_file, parser) + argv  # flags come later and win
         args = parser.parse_args(argv)
+        params = SchemeParams(beta=args.beta, lam=args.lam, s=args.scheme[0],
+                              s1=args.scheme[1], apply_cbeta=not args.no_cbeta)
+        config = ExperimentConfig(example=args.example, params=params, levels=args.levels,
+                                  solver=args.solver, tolerance=args.tol, band=args.band,
+                                  radius=args.radius, max_iter=args.max_iter)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
-
-    merged = dict(_DEFAULTS)
-    try:
-        if args.config:
-            for key, value in _read_config_file(args.config).items():
-                if key not in _CONFIG_KEYS:
-                    raise ValueError(f"unknown config key {key!r}")
-                merged[key.replace("-", "_").replace("lambda", "lam")] = _CONFIG_KEYS[key](value)
-        for key in ("example", "beta", "lam", "scheme", "levels", "solver", "tol",
-                    "band", "no_cbeta", "radius", "max_iter", "out", "format"):
-            value = getattr(args, key, None)
-            if value is not None:
-                merged[key] = value
-
-        if merged.get("example") is None or merged.get("beta") is None \
-                or merged.get("levels") is None:
-            parser.error("--example, --beta, and --levels are required")
-        s, s1 = _parse_scheme(str(merged["scheme"]))
-        levels = _parse_levels(str(merged["levels"]))
-        params = SchemeParams(beta=float(merged["beta"]), lam=float(merged["lam"]),
-                              s=s, s1=s1, apply_cbeta=not merged["no_cbeta"])
-        config = ExperimentConfig(example=int(merged["example"]), params=params,
-                                  levels=levels, solver=str(merged["solver"]),
-                                  tolerance=float(merged["tol"]), band=int(merged["band"]),
-                                  radius=float(merged["radius"]),
-                                  max_iter=merged["max_iter"])
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else USAGE_ERROR
     except (ValueError, OSError) as exc:
         print(f"templap: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
     try:
         report = run_convergence_study(config)
-        if merged.get("out"):
-            emit_report(report, str(merged["format"]), str(merged["out"]))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(format_report(report, args.format))
         else:
             print(format_report(report, "markdown"), end="")
     except (ValueError, OSError) as exc:

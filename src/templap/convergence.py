@@ -1,4 +1,4 @@
-"""Convergence studies: error norms, rates, the study runner, report output."""
+"""Convergence studies: error norms, rates, the study runner, report text."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from .assembly import BoundarySpec, assemble_operator, assemble_rhs, materialize
 from .core import Grid, SchemeParams
 from .preconditioners import build_band_compensated_ichol, build_tchan_precond
 from .problems import example1_exact, example1_f, example2_setup, example3_setup
-from .solvers import SolveReport, cg_solve, dense_gauss_solve, pcg_solve
+from .solvers import SolveReport, pcg_solve
 
 SOLVERS = ("cg", "pcg-ichol", "pcg-tchan", "dense")
 RATE_ABSENT = "--"
@@ -132,12 +132,11 @@ def _solve_level(config: ExperimentConfig, grid: Grid, F: np.ndarray):
     op = assemble_operator(config.params, grid)
     if config.solver == "dense":
         start = time.perf_counter()
-        U = dense_gauss_solve(materialize_dense(op), F)
-        report = SolveReport(0, np.empty(0), time.perf_counter() - start, "converged")
-        return U, report
+        U = np.linalg.solve(materialize_dense(op), F)
+        return U, SolveReport(0, np.empty(0), time.perf_counter() - start, "converged")
     if config.solver == "cg":
-        return cg_solve(op, F, tol=config.tolerance, max_iter=config.max_iter)
-    if config.solver == "pcg-ichol":
+        precond = None
+    elif config.solver == "pcg-ichol":
         precond = build_band_compensated_ichol(op, k=config.band)
     else:
         precond = build_tchan_precond(op)
@@ -149,7 +148,7 @@ def _level_system(config: ExperimentConfig, grid: Grid):
     params = config.params
     if config.example == 1:
         f = example1_f(params, grid)
-        boundary = BoundarySpec.zero()
+        boundary = BoundarySpec()
         exact = example1_exact(grid.interior)
     elif config.example == 2:
         f, boundary, exact = example2_setup(params, grid)
@@ -216,7 +215,7 @@ def run_convergence_study(config: ExperimentConfig) -> ConvergenceReport:
     return report
 
 
-# -- report emission ---------------------------------------------------------
+# -- report text --------------------------------------------------------------
 
 _COLUMNS = ("J", "M", "L2_err", "L2_rate", "Linf_err", "Linf_rate", "iters", "seconds")
 
@@ -252,10 +251,3 @@ def format_report(report: ConvergenceReport, fmt: str = "markdown") -> str:
         lines += ["| " + " | ".join(row) + " |" for row in _rows(report)]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}; use 'csv' or 'markdown'")
-
-
-def emit_report(report: ConvergenceReport, fmt: str, path) -> None:
-    """Write the per-level table to a file in csv or markdown form."""
-    text = format_report(report, fmt)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)

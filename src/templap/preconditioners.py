@@ -110,26 +110,20 @@ def build_tchan_precond(op: OperatorMatrix) -> CirculantPrecond:
 class BandedCholPrecond:
     """Cholesky factor of the diagonally compensated band extraction."""
 
-    def __init__(self, bandwidth: int, lower_factor: np.ndarray, band: np.ndarray,
-                 compensation: np.ndarray):
+    def __init__(self, bandwidth: int, lower_factor: np.ndarray, compensation: np.ndarray):
         self.bandwidth = bandwidth
-        self.lower_factor = lower_factor      # scipy lower-banded storage
-        self.band = band                      # compensated band G, same storage
+        self.lower_factor = lower_factor      # scipy lower-banded storage of L, G = L L^T
         self.compensation = compensation      # diagonal of O
-        if np.any(lower_factor[0] <= 0.0):
-            raise ValueError("banded Cholesky factor has a non-positive diagonal")
+        if not (np.all(np.isfinite(lower_factor)) and np.all(lower_factor[0] > 0.0)):
+            raise ValueError("banded Cholesky factor is not finite with a positive diagonal")
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Solve G x = v with two banded triangular solves."""
-        return cho_solve_banded((self.lower_factor, True), v)
+        """Solve G x = v with two banded triangular solves.
 
-    def band_matvec(self, v: np.ndarray) -> np.ndarray:
-        """G v, used to verify the row-sum compensation."""
-        out = self.band[0] * v
-        for j in range(1, self.bandwidth + 1):
-            out[:-j] += self.band[j, :-j] * v[j:]
-            out[j:] += self.band[j, :-j] * v[:-j]
-        return out
+        No finiteness scan: the constructor checked the factor, and
+        pcg_solve rejects a non-finite right-hand side.
+        """
+        return cho_solve_banded((self.lower_factor, True), v, check_finite=False)
 
 
 def build_band_compensated_ichol(op: OperatorMatrix, k: int = 10) -> BandedCholPrecond:
@@ -159,5 +153,4 @@ def build_band_compensated_ichol(op: OperatorMatrix, k: int = 10) -> BandedCholP
             "banded Cholesky hit a non-positive pivot; the compensated band "
             "matrix is not positive definite (broken assembly invariants?)"
         ) from exc
-    return BandedCholPrecond(bandwidth=k, lower_factor=factor, band=band,
-                             compensation=compensation)
+    return BandedCholPrecond(bandwidth=k, lower_factor=factor, compensation=compensation)

@@ -97,12 +97,7 @@ def example2_extension(y) -> np.ndarray:
 def example2_exterior(y) -> np.ndarray:
     """Exterior data of problem 2 (zero inside the domain)."""
     y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    left = (y >= -0.5) & (y <= 0.0)
-    right = (y >= 1.0) & (y <= 1.5)
-    out[left] = -2.0 * y[left]
-    out[right] = 2.0 * y[right] - 2.0
-    return out
+    return np.where((y > 0.0) & (y < 1.0), 0.0, example2_extension(y))
 
 
 def example2_second_difference(x: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -154,7 +149,7 @@ def example3_exact(beta: float, r: float, x):
 def example3_setup(params: SchemeParams, grid: Grid):
     """Constant unit source and absorbing boundary; exact values iff lam = 0."""
     f = np.ones(grid.M)
-    boundary = BoundarySpec.zero()
+    boundary = BoundarySpec()
     if params.lam == 0.0:
         r = grid.b
         exact = example3_exact(params.beta, r, grid.interior)

@@ -51,20 +51,16 @@ def jacobi_gauss_rule(n: int, alpha_w: float, beta_w: float) -> QuadratureRule:
 def _cached_rule(n: int, a: float, b: float) -> QuadratureRule:
     ab = a + b
     mu0 = 2.0 ** (ab + 1.0) * gamma_fn(a + 1.0) * gamma_fn(b + 1.0) / gamma_fn(ab + 2.0)
-    if n == 1:
-        nodes = np.array([(b - a) / (ab + 2.0)])
-        weights = np.array([mu0])
-    else:
-        i = np.arange(n, dtype=float)
-        denom = (2.0 * i + ab) * (2.0 * i + ab + 2.0)
-        denom[0] = 1.0  # i = 0 handled explicitly below
-        diag = (b * b - a * a) / denom
-        diag[0] = (b - a) / (ab + 2.0)
-        j = np.arange(1, n, dtype=float)
-        sj = 2.0 * j + ab
-        off = np.sqrt(4.0 * j * (j + a) * (j + b) * (j + ab) / (sj * sj * (sj * sj - 1.0)))
-        nodes, vecs = eigh_tridiagonal(diag, off)
-        weights = mu0 * vecs[0, :] ** 2
+    i = np.arange(n, dtype=float)
+    denom = (2.0 * i + ab) * (2.0 * i + ab + 2.0)
+    denom[0] = 1.0  # i = 0 handled explicitly below
+    diag = (b * b - a * a) / denom
+    diag[0] = (b - a) / (ab + 2.0)
+    j = np.arange(1, n, dtype=float)
+    sj = 2.0 * j + ab
+    off = np.sqrt(4.0 * j * (j + a) * (j + b) * (j + ab) / (sj * sj * (sj * sj - 1.0)))
+    nodes, vecs = eigh_tridiagonal(diag, off)
+    weights = mu0 * vecs[0, :] ** 2
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(nodes=nodes, weights=weights)
@@ -86,19 +82,16 @@ def weighted_interval_rule(n: int, beta_w: float, d: float):
     return t, w
 
 
-def geometric_breakpoints(start: float, stop: float, first_width: float,
-                          growth: float = 2.0) -> np.ndarray:
-    """Panel edges from start to stop with geometrically growing widths.
+def geometric_breakpoints(start: float, stop: float, first_width: float) -> np.ndarray:
+    """Panel edges from start to stop > start, each width double the last.
 
     Used to resolve kernels that vary fastest near ``start``.
     """
-    if stop <= start:
-        return np.array([start, stop]) if stop == start else np.array([start])
     edges = [start]
     width = first_width
     while edges[-1] < stop:
         edges.append(min(stop, edges[-1] + width))
-        width *= growth
+        width *= 2.0
     return np.array(edges)
 
 

@@ -1,12 +1,13 @@
-"""Conjugate gradient solvers and dense baselines.
+"""Preconditioned conjugate gradients; plain CG is ``precond=None``.
 
-Both solvers start from the zero initial guess and stop when the true
+The solver starts from the zero initial guess and stops when the true
 (unpreconditioned) relative residual ||r_k|| / ||r_0|| drops to the
 requested tolerance; preconditioning only redirects the search directions.
 Hitting the iteration cap, or a search direction along which the operator
 is not positive definite, returns the current iterate with the report's
 ``reason`` saying so, never an exception.  A non-finite right-hand side is
-rejected before iterating.
+rejected before iterating.  The dense baseline is ``np.linalg.solve`` on
+``assembly.materialize_dense``.
 """
 
 from __future__ import annotations
@@ -33,11 +34,6 @@ class SolveReport:
     @property
     def converged(self) -> bool:
         return self.reason == "converged"
-
-
-def cg_solve(op, F, tol: float = 1e-9, max_iter: int | None = None):
-    """Unpreconditioned conjugate gradients; returns (solution, SolveReport)."""
-    return pcg_solve(op, F, precond=None, tol=tol, max_iter=max_iter)
 
 
 def pcg_solve(op, F, precond, tol: float = 1e-9, max_iter: int | None = None):
@@ -96,16 +92,3 @@ def pcg_solve(op, F, precond, tol: float = 1e-9, max_iter: int | None = None):
     # Breakdown leaves the loop before k reaches the cap.
     reason = "converged" if converged else "max_iter" if k >= max_iter else "breakdown"
     return x, SolveReport(k, np.asarray(residuals), time.perf_counter() - start, reason)
-
-
-def dense_gauss_solve(dense: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Direct elimination baseline (LAPACK partial-pivoted LU)."""
-    dense = np.asarray(dense, dtype=float)
-    F = np.asarray(F, dtype=float)
-    return np.linalg.solve(dense, F)
-
-
-def extreme_eigs(dense: np.ndarray) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a dense symmetric matrix."""
-    vals = np.linalg.eigvalsh(np.asarray(dense, dtype=float))
-    return float(vals[0]), float(vals[-1])

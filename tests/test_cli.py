@@ -103,3 +103,53 @@ def test_radius_flag_reaches_domain(tmp_path):
     assert code == 0
     rows = list(csv.DictReader(out.open()))
     assert rows[0]["M"] == "127"
+
+
+EXIT_TIME = ["--example", "3", "--beta", "1.5", "--lambda", "0", "--scheme", "1,1",
+             "--levels", "7..8"]
+
+
+def _csv_rows(tmp_path, argv, config=None):
+    """Every CSV column but the timing, from a run with an optional config file."""
+    out = tmp_path / "rows.csv"
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = ["--config", str(cfg)] + argv
+    assert main(argv + ["--out", str(out)]) == 0
+    return [{k: v for k, v in row.items() if k != "seconds"}
+            for row in csv.DictReader(out.open())]
+
+
+def test_no_cbeta_config_key_matches_flag(tmp_path):
+    # Problem 3's unit source is not scaled with the operator, so dropping
+    # the normalization changes its errors.
+    flag = _csv_rows(tmp_path, EXIT_TIME + ["--no-cbeta"])
+    assert flag != _csv_rows(tmp_path, EXIT_TIME)
+    for value in ("true", "1", "yes"):
+        assert _csv_rows(tmp_path, EXIT_TIME, f"no-cbeta = {value}\n") == flag
+
+
+def test_false_no_cbeta_config_key_is_the_default(tmp_path):
+    assert _csv_rows(tmp_path, EXIT_TIME, "no-cbeta = false\n") \
+        == _csv_rows(tmp_path, EXIT_TIME)
+
+
+@pytest.mark.parametrize("text", ["example 1\n", "ex = 1\n", "config = other.cfg\n",
+                                  "help = yes\n", "lam = 0.5\n"])
+def test_config_line_must_be_an_exact_flag_name(tmp_path, text):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert main(["--config", str(cfg)] + EXIT_TIME) == 1
+
+
+def test_every_flag_and_prefix_still_parses(tmp_path):
+    out = tmp_path / "all.md"
+    assert main(["--example", "3", "--beta", "1.5", "--lambda", "0", "--scheme", "1,1",
+                 "--levels", "7", "--solver", "pcg-ichol", "--tol", "1e-10",
+                 "--band", "6", "--no-cbeta", "--radius", "2.0", "--max-iter", "500",
+                 "--out", str(out), "--format", "markdown"]) == 0
+    assert out.read_text().startswith("| J | M |")
+    assert main(["--ex", "3", "--be", "1.5", "--lam", "0", "--sch", "1,1", "--lev", "7",
+                 "--sol", "cg", "--max", "500", "--rad=2.0", "--out", str(out)]) == 0
+    assert out.read_text().startswith("J,M,")

@@ -1,4 +1,4 @@
-"""Error norms, rates, study runner, report emission."""
+"""Error norms, rates, study runner, report text."""
 
 import io
 import math
@@ -11,7 +11,6 @@ from templap import (
     ExperimentConfig,
     SchemeParams,
     compute_rates,
-    emit_report,
     error_norms,
     format_report,
     run_convergence_study,
@@ -145,10 +144,8 @@ class TestReportEmission:
         rep.levels = rows[:n_levels]
         return rep
 
-    def test_empty_report_is_header_only(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        emit_report(self._report(0), "csv", path)
-        lines = path.read_text().splitlines()
+    def test_empty_report_is_header_only(self):
+        lines = format_report(self._report(0), "csv").splitlines()
         assert lines == ["J,M,L2_err,L2_rate,Linf_err,Linf_rate,iters,seconds"]
 
     def test_single_level_has_absent_rate_marker(self):
@@ -156,11 +153,9 @@ class TestReportEmission:
         row = text.splitlines()[1].split(",")
         assert row[3] == "--" and row[5] == "--"
 
-    def test_csv_round_trip_at_printed_precision(self, tmp_path):
+    def test_csv_round_trip_at_printed_precision(self):
         report = self._report(2)
-        path = tmp_path / "out.csv"
-        emit_report(report, "csv", path)
-        first = path.read_text()
+        first = format_report(report, "csv")
         # Re-parse into a report and re-emit: identical text.
         parsed = ConvergenceReport(config=report.config)
         for line in first.splitlines()[1:]:

@@ -10,12 +10,18 @@ from templap import (
     assemble_operator,
     build_band_compensated_ichol,
     build_tchan_precond,
-    cg_solve,
-    extreme_eigs,
     materialize_dense,
     pcg_solve,
 )
 from templap.preconditioners import embeds_inverse, tchan_column
+
+
+def compensated_band(P):
+    """Dense G = L L^T from the banded Cholesky factor's lower storage."""
+    L = np.zeros((P.lower_factor.shape[1],) * 2)
+    for j in range(P.bandwidth + 1):
+        L += np.diag(P.lower_factor[j, :L.shape[0] - j], -j)
+    return L @ L.T
 
 
 def example_op(beta=0.5, lam=0.5, M=255):
@@ -139,8 +145,24 @@ class TestBandedCholesky:
         op = example_op(beta=0.5, lam=0.5, M=255)
         P = build_band_compensated_ichol(op, k=10)
         ones = np.ones(op.M)
-        np.testing.assert_allclose(P.band_matvec(ones.copy()), op.matvec(ones),
+        np.testing.assert_allclose(compensated_band(P) @ ones, op.matvec(ones),
                                    rtol=1e-12)
+
+    def test_apply_without_finite_check_is_bit_identical(self):
+        op = example_op(beta=1.5, lam=0.5, M=511)
+        P = build_band_compensated_ichol(op, k=10)
+        v = np.random.default_rng(3).standard_normal(op.M)
+        checked = scipy.linalg.cho_solve_banded((P.lower_factor, True), v)
+        np.testing.assert_array_equal(P.apply(v), checked)
+
+    def test_nonfinite_factor_rejected_at_construction(self):
+        from templap import BandedCholPrecond
+
+        P = build_band_compensated_ichol(example_op(M=31), k=3)
+        bad = P.lower_factor.copy()
+        bad[1, 4] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            BandedCholPrecond(P.bandwidth, bad, P.compensation)
 
     def test_full_bandwidth_is_exact_inverse(self):
         op = example_op(beta=0.5, lam=1.0, M=32)
@@ -173,15 +195,9 @@ class TestBandedCholesky:
         op = example_op(beta=0.5, lam=0.5, M=255)
         P = build_band_compensated_ichol(op, k=10)
         H = materialize_dense(op)
-        G = np.zeros_like(H)
-        for j in range(P.bandwidth + 1):
-            vals = P.band[j, :op.M - j]
-            G += np.diag(vals, -j)
-            if j:
-                G += np.diag(vals, j)
-        lmin_h, lmax_h = extreme_eigs(H)
-        ev = scipy.linalg.eigvalsh(H, G)
-        cond_raw = lmax_h / lmin_h
+        ev_h = np.linalg.eigvalsh(H)
+        ev = scipy.linalg.eigvalsh(H, compensated_band(P))
+        cond_raw = ev_h[-1] / ev_h[0]
         cond_pre = ev[-1] / ev[0]
         assert cond_raw / cond_pre >= 10.0
 
@@ -204,7 +220,7 @@ class TestEndToEnd:
     def test_both_preconditioners_beat_plain_cg(self):
         op = example_op(beta=1.5, lam=0.5, M=511)
         F = np.ones(op.M)
-        _, plain = cg_solve(op, F, tol=1e-9)
+        _, plain = pcg_solve(op, F, None, tol=1e-9)
         _, ic = pcg_solve(op, F, build_band_compensated_ichol(op, 10), tol=1e-9)
         _, tc = pcg_solve(op, F, build_tchan_precond(op), tol=1e-9)
         assert ic.iterations < plain.iterations

@@ -1,0 +1,92 @@
+"""Check that two checkouts compute the same benchmark numbers, bit for bit.
+
+    python3 tools/same_numbers.py --parent ../parent --change .
+
+Runs every study of every benchmark workload once per checkout, each
+checkout in its own subprocess that pins BLAS to one thread before numpy is
+imported, exactly as ``python3 -m perfbench.run`` does.  It compares each
+study's ``perfbench.studies.summarize`` output (per level: M, both errors,
+both rates, iterations, converged) with ``==`` and prints every level that
+differs, with the largest relative difference over its numeric fields.
+Exits 1 on any difference, 0 when every level is equal.  Standard library
+only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+# Runs inside the checkout: one JSON object {workload: {study id: levels}}.
+CHILD = """
+import json, perfbench
+perfbench.pin_threads()
+from perfbench import studies
+from templap import run_convergence_study
+print(json.dumps({name: {studies.study_id(cfg): studies.summarize(run_convergence_study(cfg))
+                         for cfg in w.configs}
+                  for name, w in studies.WORKLOADS.items()}))
+"""
+
+
+def run_all(checkout: Path) -> dict:
+    proc = subprocess.run([sys.executable, "-c", CHILD], cwd=checkout,
+                          stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{checkout}: running the studies exited {proc.returncode}")
+    return json.loads(lines[-1])
+
+
+def largest_rel_diff(a: dict, b: dict) -> float:
+    """Largest |a - b| / max(|a|, |b|) over the numeric fields of two levels."""
+    worst = 0.0
+    for key in a.keys() | b.keys():
+        x, y = a.get(key), b.get(key)
+        if x == y:
+            continue
+        if isinstance(x, (int, float)) and isinstance(y, (int, float)):
+            rel = abs(x - y) / max(abs(x), abs(y))
+        else:  # None against a number, or a missing field
+            rel = math.inf
+        worst = math.inf if math.isnan(rel) else max(worst, rel)
+    return worst
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    args = ap.parse_args(argv)
+
+    parent, change = run_all(args.parent.resolve()), run_all(args.change.resolve())
+    studies = levels = differing = 0
+    for workload in sorted(parent.keys() | change.keys()):
+        par, chg = parent.get(workload, {}), change.get(workload, {})
+        for sid in sorted(par.keys() | chg.keys()):
+            studies += 1
+            if sid not in par or sid not in chg:
+                differing += 1
+                print(f"{workload} {sid}: only in the {'change' if sid in chg else 'parent'}")
+                continue
+            if [lv["J"] for lv in par[sid]] != [lv["J"] for lv in chg[sid]]:
+                differing += 1
+                print(f"{workload} {sid}: levels differ")
+                continue
+            for p, c in zip(par[sid], chg[sid]):
+                levels += 1
+                if p != c:
+                    differing += 1
+                    print(f"{workload} {sid} J={p['J']}: largest relative difference "
+                          f"{largest_rel_diff(p, c):.3e}")
+    print(f"{studies} studies, {levels} levels compared, {differing} differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
