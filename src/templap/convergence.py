@@ -108,8 +108,8 @@ class ExperimentConfig:
 class LevelResult:
     J: int
     M: int
-    l2_err: float | None
-    linf_err: float | None
+    l2_err: float
+    linf_err: float
     l2_rate: float | None
     linf_rate: float | None
     iterations: int
@@ -144,7 +144,7 @@ def _solve_level(config: ExperimentConfig, grid: Grid, F: np.ndarray):
 
 
 def _level_system(config: ExperimentConfig, grid: Grid):
-    """Source, boundary, and exact interior values (None when unavailable)."""
+    """Right-hand side and exact interior values (None for problem 3, lam > 0)."""
     params = config.params
     if config.example == 1:
         f = example1_f(params, grid)
@@ -175,43 +175,27 @@ def run_convergence_study(config: ExperimentConfig) -> ConvergenceReport:
             raise ValueError("successive-refinement errors need contiguous levels")
         solve_levels.append(config.levels[-1] + 1)
 
-    solutions: dict[int, np.ndarray] = {}
-    stats: dict[int, SolveReport] = {}
-    exacts: dict[int, np.ndarray | None] = {}
+    solved = {}  # J -> (grid, exact values or None, solution, solve report)
     for J in solve_levels:
         grid = config.grid_for(J)
         F, exact = _level_system(config, grid)
-        U, rep = _solve_level(config, grid, F)
-        solutions[J], stats[J], exacts[J] = U, rep, exact
+        solved[J] = (grid, exact, *_solve_level(config, grid, F))
 
     report = ConvergenceReport(config=config, log_corrected=log_corrected)
     for J in config.levels:
-        grid = config.grid_for(J)
-        if successive:
-            fine = solutions.get(J + 1)
-            ref = restrict_to_coarse(fine, grid.M) if fine is not None else None
-        else:
-            ref = exacts[J]
-        if ref is None:
-            l2 = linf = None
-        else:
-            l2, linf = error_norms(ref, solutions[J], grid.h)
-        rep = stats[J]
+        grid, exact, U, rep = solved[J]
+        ref = restrict_to_coarse(solved[J + 1][2], grid.M) if successive else exact
+        l2, linf = error_norms(ref, U, grid.h)
         report.levels.append(LevelResult(
             J=J, M=grid.M, l2_err=l2, linf_err=linf, l2_rate=None, linf_rate=None,
             iterations=rep.iterations, seconds=rep.wall_time, converged=rep.converged,
         ))
 
-    defined = [lv for lv in report.levels if lv.l2_err is not None]
-    if len(defined) >= 2:
-        l2_rates = compute_rates([lv.l2_err for lv in defined],
-                                 [config.grid_for(lv.J).h for lv in defined],
-                                 log_corrected)
-        linf_rates = compute_rates([lv.linf_err for lv in defined],
-                                   [config.grid_for(lv.J).h for lv in defined],
-                                   log_corrected)
-        for lv, r2, ri in zip(defined[1:], l2_rates, linf_rates):
-            lv.l2_rate, lv.linf_rate = r2, ri
+    hs = [solved[J][0].h for J in config.levels]
+    l2_rates = compute_rates([lv.l2_err for lv in report.levels], hs, log_corrected)
+    linf_rates = compute_rates([lv.linf_err for lv in report.levels], hs, log_corrected)
+    for lv, r2, ri in zip(report.levels[1:], l2_rates, linf_rates):
+        lv.l2_rate, lv.linf_rate = r2, ri
     return report
 
 

@@ -174,36 +174,26 @@ def e1(z):
     converges quickly and without harmful cancellation.  It is summed until
     a term changes no partial sum, at most 64 terms: past that point each
     term is under half the previous one, so the rest would change nothing
-    either.  Above, e^{-t}/t is integrated over [z, z+50] by composite
-    Gauss-Legendre panels (the remaining tail is below 1e-21 relative).
+    either.  From z = 4 on, ``scipy.special.exp1`` is used; it is imported
+    only there, so ``import templap`` does not load scipy.special.
     """
     z_arr = np.atleast_1d(np.asarray(z, dtype=float))
     if np.any(z_arr <= 0.0):
         raise ValueError("e1 requires z > 0")
     out = np.empty_like(z_arr)
     small = z_arr < 4.0
-    if small.any():
-        zs = z_arr[small]
-        acc = np.zeros_like(zs)
-        term = np.ones_like(zs)
-        for n in range(1, 65):
-            term = term * (-zs) / n
-            summed = acc + term / n
-            if np.array_equal(summed, acc):
-                break
-            acc = summed
-        out[small] = -EULER_GAMMA - np.log(zs) - acc
+    zs = z_arr[small]
+    acc = np.zeros_like(zs)
+    term = np.ones_like(zs)
+    for n in range(1, 65):
+        term = term * (-zs) / n
+        summed = acc + term / n
+        if np.array_equal(summed, acc):  # also ends at once when zs is empty
+            break
+        acc = summed
+    out[small] = -EULER_GAMMA - np.log(zs) - acc
     if (~small).any():
-        from .quadrature import gauss_legendre_rule
+        from scipy.special import exp1
 
-        rule = gauss_legendre_rule(32)
-        zz = z_arr[~small]
-        acc = np.zeros_like(zz)
-        edges = (0.0, 2.0, 6.0, 14.0, 30.0, 50.0)
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid = zz + (hi + lo) / 2.0
-            rad = (hi - lo) / 2.0
-            t = mid[:, None] + rad * rule.nodes[None, :]
-            acc += rad * ((np.exp(-t) / t) @ rule.weights)
-        out[~small] = acc
+        out[~small] = exp1(z_arr[~small])
     return out if isinstance(z, np.ndarray) else float(out[0])

@@ -1,4 +1,5 @@
-"""Preconditioned conjugate gradients; plain CG is ``precond=None``.
+"""Preconditioned conjugate gradients; ``precond`` is None (plain CG) or an
+object with an ``apply(r)`` method, such as those of preconditioners.py.
 
 The solver starts from the zero initial guess and stops when the true
 (unpreconditioned) relative residual ||r_k|| / ||r_0|| drops to the
@@ -39,21 +40,16 @@ class SolveReport:
 def pcg_solve(op, F, precond, tol: float = 1e-9, max_iter: int | None = None):
     """Preconditioned conjugate gradients for s.p.d. systems.
 
-    ``op`` is an assembled OperatorMatrix.  ``precond`` applies an s.p.d.
-    approximation of the inverse: an object with an ``apply`` method, a bare
-    callable, or None.  Deterministic; the factor matrices never appear
-    explicitly.
+    ``op`` is an assembled OperatorMatrix.  ``precond`` is None (plain CG)
+    or an object whose ``apply`` method applies an s.p.d. approximation of
+    the inverse; anything else raises TypeError.  Deterministic; the factor
+    matrices never appear explicitly.
     """
     F = np.asarray(F, dtype=float)
     if not np.all(np.isfinite(F)):
         raise ValueError("right-hand side has non-finite entries")
-    if precond is None:
-        apply_m = None
-    elif hasattr(precond, "apply"):
-        apply_m = precond.apply
-    elif callable(precond):
-        apply_m = precond
-    else:
+    apply_m = getattr(precond, "apply", None)
+    if apply_m is None and precond is not None:
         raise TypeError(f"cannot interpret {type(precond)!r} as a preconditioner")
     if max_iter is None:
         max_iter = 4 * F.size + 100

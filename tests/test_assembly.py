@@ -150,8 +150,8 @@ class TestBoundaryLoads:
         assert d1 == pytest.approx(6.0 - 4.0 * math.sqrt(2.0), rel=1e-10)
         assert d2 > 0.0
 
-    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.5])
-    @pytest.mark.parametrize("lam", [0.5, 3.0])
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 1.0, 1.5, 1.95])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 3.0, 30.0])
     def test_tempered_loads_match_adaptive_quadrature(self, beta, lam):
         # g(y) e^{-lam |x - y|} |x - y|^{-1-beta} over each exterior piece.
         p = SchemeParams(beta=beta, lam=lam, s=1, s1=1)

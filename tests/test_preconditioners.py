@@ -38,6 +38,24 @@ class TestTChanColumn:
     def test_constant_column_is_fixed_point(self):
         np.testing.assert_allclose(tchan_column(np.ones(7)), np.ones(7), rtol=1e-15)
 
+    @pytest.mark.parametrize("M", [7, 255, 8191])
+    def test_column_is_a_palindrome_bit_for_bit(self, M):
+        # build_tchan_precond drops the imaginary part of the spectrum
+        # unchecked; it is rounding only because c_k == c_{M-k} bit for bit.
+        def assert_palindrome(c):
+            np.testing.assert_array_equal(c[1:], c[1:][::-1])
+
+        for beta in (0.05, 0.5, 1.0, 1.5, 1.95):
+            for lam in (0.0, 3.0, 100.0):
+                op = example_op(beta=beta, lam=lam, M=M)
+                g = op.toeplitz_col.copy()
+                g[0] = op.diag.mean()
+                assert_palindrome(tchan_column(g))
+        rng = np.random.default_rng(M)
+        for _ in range(20):
+            assert_palindrome(tchan_column(rng.standard_normal(M)
+                                           * 10.0 ** rng.uniform(-8.0, 8.0, M)))
+
 
 def assert_inverts_circulant(C, seed=0):
     B = scipy.linalg.circulant(C.first_col)

@@ -1,5 +1,7 @@
 """Conjugate gradient behavior and the dense baseline."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -73,7 +75,8 @@ class TestPCG:
         dense = materialize_dense(op)
         inv = np.linalg.inv(dense)
         F = np.sin(np.arange(grid.M, dtype=float))
-        _, rep = pcg_solve(op, F, precond=lambda r: inv @ r, tol=1e-10)
+        exact = SimpleNamespace(apply=lambda r: inv @ r)
+        _, rep = pcg_solve(op, F, precond=exact, tol=1e-10)
         assert rep.iterations <= 2
 
     def test_all_solvers_agree_with_direct(self):
@@ -101,9 +104,12 @@ class TestPCG:
         assert 1000 <= rep.iterations <= 3000
 
     def test_rejects_unknown_precond_type(self):
+        # A preconditioner is None or an object with ``apply``; a bare
+        # callable is not one.
         op = diagonal_operator(np.ones(8))
-        with pytest.raises(TypeError):
-            pcg_solve(op, np.ones(8), precond=1234)
+        for precond in (1234, lambda r: r):
+            with pytest.raises(TypeError):
+                pcg_solve(op, np.ones(8), precond=precond)
 
     def test_rejects_nonfinite_rhs_before_iterating(self):
         op = diagonal_operator(np.ones(8))

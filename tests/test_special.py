@@ -123,6 +123,12 @@ class TestExpIntegralTail:
                                           epsabs=1e-15, epsrel=1e-14)[0]
             assert e1(z) == pytest.approx(oracle, rel=1e-12)
             assert e1(z) == pytest.approx(frozen, rel=1e-12)
+        # From z = 4 on e1 is scipy.special.exp1; check it against quadrature,
+        # not against itself.
+        for z in (5.0, 30.0, 200.0):
+            oracle = scipy.integrate.quad(lambda t: math.exp(-t) / t, z, np.inf,
+                                          epsabs=0.0, epsrel=1e-13)[0]
+            assert e1(z) == pytest.approx(oracle, rel=1e-12)
 
     def test_truncation_is_converged_in_usage_regime(self):
         # e1 stops its series early; that gives the same bits as all 64

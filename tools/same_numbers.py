@@ -7,9 +7,12 @@ checkout in its own subprocess that pins BLAS to one thread before numpy is
 imported, exactly as ``python3 -m perfbench.run`` does.  It compares each
 study's ``perfbench.studies.summarize`` output (per level: M, both errors,
 both rates, iterations, converged) with ``==`` and prints every level that
-differs, with the largest relative difference over its numeric fields.
-Exits 1 on any difference, 0 when every level is equal.  Standard library
-only.
+differs, with the largest relative difference over its numeric fields and
+the largest share of the golden error tolerance the change uses,
+|err - golden| / (ERR_RTOL |golden|) over both errors, with ``golden.json``
+and ``ERR_RTOL`` read from the change checkout (a share of 1 is the
+benchmark gate's limit).  Exits 1 on any difference, 0 when every level is
+equal.  Standard library only.
 """
 
 from __future__ import annotations
@@ -21,15 +24,18 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Runs inside the checkout: one JSON object {workload: {study id: levels}}.
+# Runs inside the checkout: one JSON object with the checkout's golden error
+# tolerance, its golden values and {workload: {study id: levels}}.
 CHILD = """
 import json, perfbench
 perfbench.pin_threads()
 from perfbench import studies
 from templap import run_convergence_study
-print(json.dumps({name: {studies.study_id(cfg): studies.summarize(run_convergence_study(cfg))
-                         for cfg in w.configs}
-                  for name, w in studies.WORKLOADS.items()}))
+print(json.dumps({"err_rtol": studies.ERR_RTOL, "golden": studies.load_golden(),
+                  "results": {name: {studies.study_id(cfg):
+                                     studies.summarize(run_convergence_study(cfg))
+                                     for cfg in w.configs}
+                              for name, w in studies.WORKLOADS.items()}}))
 """
 
 
@@ -57,6 +63,15 @@ def largest_rel_diff(a: dict, b: dict) -> float:
     return worst
 
 
+def golden_share(level: dict, golden: list | None, err_rtol: float) -> float:
+    """Largest |err - golden| / (err_rtol |golden|) over a level's two errors."""
+    want = next((g for g in golden or () if g["J"] == level["J"]), None)
+    if want is None:
+        return math.nan  # no golden value for this level
+    return max(abs(level[key] - want[key]) / (err_rtol * abs(want[key]))
+               for key in ("l2_err", "linf_err"))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -64,7 +79,9 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     args = ap.parse_args(argv)
 
-    parent, change = run_all(args.parent.resolve()), run_all(args.change.resolve())
+    parent = run_all(args.parent.resolve())["results"]
+    changed = run_all(args.change.resolve())
+    change, golden, err_rtol = changed["results"], changed["golden"], changed["err_rtol"]
     studies = levels = differing = 0
     for workload in sorted(parent.keys() | change.keys()):
         par, chg = parent.get(workload, {}), change.get(workload, {})
@@ -83,7 +100,8 @@ def main(argv=None) -> int:
                 if p != c:
                     differing += 1
                     print(f"{workload} {sid} J={p['J']}: largest relative difference "
-                          f"{largest_rel_diff(p, c):.3e}")
+                          f"{largest_rel_diff(p, c):.3e}, golden tolerance share "
+                          f"{golden_share(c, golden.get(sid), err_rtol):.3f}")
     print(f"{studies} studies, {levels} levels compared, {differing} differ")
     return 1 if differing else 0
 
