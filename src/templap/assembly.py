@@ -47,7 +47,7 @@ class OperatorMatrix:
     ``toeplitz_col[m]`` is the entry at lag m >= 1 (slot 0 is unused and
     zero); ``diag`` holds the diagonal.  ``tails_left``/``tails_right``
     cache the kernel tail integrals per row, in the same units as the
-    operator (i.e. scaled by the normalization constant when enabled).
+    operator (i.e. scaled by the normalization constant).
     """
 
     diag: np.ndarray
@@ -118,7 +118,7 @@ def assemble_offdiagonal(params: SchemeParams, grid: Grid) -> np.ndarray:
     t[1] = -coeff_near_diag(params, grid)
     m = np.arange(2, M)
     t[2:] = -pair_sum_profile(m, params, grid) * np.exp(-lam * m * h) / m.astype(float) ** params.s
-    return params.scale * t
+    return params.cbeta * t
 
 
 def _boundary_lift_weights(params: SchemeParams, grid: Grid):
@@ -145,19 +145,19 @@ def assemble_diagonal(params: SchemeParams, grid: Grid, toeplitz_col: np.ndarray
     """Diagonal from the row-sum identity.
 
     h_{i,i} = tails(i) - (off-diagonal row sum) + (boundary lift weights),
-    with all inputs in operator units (scaled when normalization is on).
+    with all inputs in operator units (scaled by the normalization constant).
     """
     left, right = _boundary_lift_weights(params, grid)
     return (tails_left + tails_right - offdiag_row_sums(toeplitz_col)
-            + params.scale * (left + right))
+            + params.cbeta * (left + right))
 
 
 def assemble_operator(params: SchemeParams, grid: Grid) -> OperatorMatrix:
     """Build the full operator: off-diagonal column, tails, diagonal."""
     t = assemble_offdiagonal(params, grid)
     x = grid.interior
-    B1 = params.scale * tail_profile(x - grid.a, params)
-    B2 = params.scale * tail_profile(grid.b - x, params)
+    B1 = params.cbeta * tail_profile(x - grid.a, params)
+    B2 = params.cbeta * tail_profile(grid.b - x, params)
     diag = assemble_diagonal(params, grid, t, B1, B2)
     for arr in (t, B1, B2, diag):
         arr.flags.writeable = False
@@ -209,11 +209,11 @@ def assemble_rhs(f_values: np.ndarray, boundary: BoundarySpec, params: SchemePar
         raise ValueError(f"expected {grid.M} source values, got {f_values.shape}")
     F = f_values.copy()
     if boundary.exterior_g is not None:
-        F += params.scale * (_exterior_load_profile(boundary, params, grid, "left")
+        F += params.cbeta * (_exterior_load_profile(boundary, params, grid, "left")
                              + _exterior_load_profile(boundary, params, grid, "right"))
     if boundary.u_a != 0.0 or boundary.u_b != 0.0:
         left, right = _boundary_lift_weights(params, grid)
-        F += params.scale * (boundary.u_a * left + boundary.u_b * right)
+        F += params.cbeta * (boundary.u_a * left + boundary.u_b * right)
     if not np.all(np.isfinite(F)):
         raise ValueError("load vector has non-finite entries")
     return F

@@ -2,12 +2,13 @@
 
     templap --example {1|2|3} --beta B --lambda L --scheme S,S1
             --levels J1..J2 --solver {cg|pcg-ichol|pcg-tchan|dense}
-            [--tol 1e-9] [--band 10] [--no-cbeta]
-            [--out PATH --format {csv|markdown}] [--radius R]
-            [--max-iter N] [--config FILE]
+            [--tol 1e-9] [--band 10] [--radius R] [--max-iter N]
+            [--out PATH --format {csv|markdown}] [--config FILE]
 
-A config file holds the same keys as plain ``key = value`` lines, read as
-flags placed ahead of the command line, so explicit flags override it.
+The operator always carries its normalization constant c_beta.  A config
+file holds the same keys as plain ``key = value`` lines, read as
+``--key=value`` flags placed ahead of the command line, so explicit flags
+override it.
 Exit codes: 0 success, 2 non-converged solve, 1 usage error.
 """
 
@@ -49,9 +50,8 @@ def _parse_scheme(text: str) -> tuple[int, int]:
 def _config_tokens(path, parser: argparse.ArgumentParser) -> list[str]:
     """Command-line tokens for the ``key = value`` lines of a config file.
 
-    A key must name a flag exactly (no prefix).  A valued flag becomes
-    ``--key=value``; ``--no-cbeta`` is set by 1, true or yes and left out
-    otherwise.
+    A key must name a flag exactly (no prefix); each line becomes
+    ``--key=value``.
     """
     tokens = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -62,13 +62,9 @@ def _config_tokens(path, parser: argparse.ArgumentParser) -> list[str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            action = parser._option_string_actions.get("--" + key)
-            if action is None or key in ("config", "help"):
+            if "--" + key not in parser._option_string_actions or key in ("config", "help"):
                 raise ValueError(f"unknown config key {key!r}")
-            if action.nargs != 0:
-                tokens.append(f"--{key}={value}")
-            elif value.lower() in ("1", "true", "yes"):
-                tokens.append(f"--{key}")
+            tokens.append(f"--{key}={value}")
     return tokens
 
 
@@ -87,8 +83,6 @@ def _build_parsers() -> tuple[_Parser, _Parser]:
     p.add_argument("--solver", choices=SOLVERS, default="pcg-tchan")
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--band", type=int, default=10)
-    p.add_argument("--no-cbeta", action="store_true",
-                   help="assemble the unnormalized operator")
     p.add_argument("--radius", type=float, default=1.0,
                    help="half-width of the domain for example 3")
     p.add_argument("--max-iter", type=int)
@@ -106,7 +100,7 @@ def main(argv=None) -> int:
             argv = _config_tokens(config_file, parser) + argv  # flags come later and win
         args = parser.parse_args(argv)
         params = SchemeParams(beta=args.beta, lam=args.lam, s=args.scheme[0],
-                              s1=args.scheme[1], apply_cbeta=not args.no_cbeta)
+                              s1=args.scheme[1])
         config = ExperimentConfig(example=args.example, params=params, levels=args.levels,
                                   solver=args.solver, tolerance=args.tol, band=args.band,
                                   radius=args.radius, max_iter=args.max_iter)

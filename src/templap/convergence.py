@@ -204,23 +204,17 @@ def run_convergence_study(config: ExperimentConfig) -> ConvergenceReport:
 _COLUMNS = ("J", "M", "L2_err", "L2_rate", "Linf_err", "Linf_rate", "iters", "seconds")
 
 
-def _fmt(value, kind: str) -> str:
-    if value is None:
-        return RATE_ABSENT
-    if kind == "int":
-        return str(int(value))
-    if kind == "rate":
-        return f"{value:.2f}"
-    return f"{value:.4e}"  # 5 significant digits, scientific
+def _rate(rate: float | None) -> str:
+    return RATE_ABSENT if rate is None else f"{rate:.2f}"
 
 
 def _rows(report: ConvergenceReport):
-    for lv in report.levels:
+    for lv in report.levels:  # errors and seconds to 5 significant digits
         yield (
-            _fmt(lv.J, "int"), _fmt(lv.M, "int"),
-            _fmt(lv.l2_err, "err"), _fmt(lv.l2_rate, "rate"),
-            _fmt(lv.linf_err, "err"), _fmt(lv.linf_rate, "rate"),
-            _fmt(lv.iterations, "int"), _fmt(lv.seconds, "err"),
+            str(lv.J), str(lv.M),
+            f"{lv.l2_err:.4e}", _rate(lv.l2_rate),
+            f"{lv.linf_err:.4e}", _rate(lv.linf_rate),
+            str(lv.iterations), f"{lv.seconds:.4e}",
         )
 
 

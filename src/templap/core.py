@@ -5,8 +5,8 @@ The operator acting on u at x is
     -c * P.V. integral of (u(x) - u(y)) / (e^{lam |x-y|} |x-y|^{1+beta}) dy
 
 with beta in (0, 2) and tempering rate lam >= 0.  The normalization
-constant c depends on (beta, lam) and is applied to the assembled
-operator when ``SchemeParams.apply_cbeta`` is set (the default).
+constant c = ``SchemeParams.cbeta`` depends on (beta, lam) and always
+multiplies the assembled operator.
 """
 
 from __future__ import annotations
@@ -67,17 +67,15 @@ def gamma_fn(x: float) -> float:
 class SchemeParams:
     """Discretization parameters: order beta, tempering lam, selectors (s, s1).
 
-    ``apply_cbeta`` controls whether the normalization constant multiplies
-    the assembled operator (and everything entering it: tail integrals,
-    exterior loads, boundary lifts).  Physical right-hand sides are never
-    scaled.
+    The normalization constant ``cbeta`` multiplies the assembled operator
+    and everything entering it: tail integrals, exterior loads, boundary
+    lifts.  Physical right-hand sides are never scaled.
     """
 
     beta: float
     lam: float = 0.0
     s: int = 0
     s1: int = 0
-    apply_cbeta: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.beta < 2.0:
@@ -109,11 +107,6 @@ class SchemeParams:
     @cached_property
     def cbeta(self) -> float:
         return c_beta_const(self)
-
-    @property
-    def scale(self) -> float:
-        """Factor applied to the assembled operator: cbeta or 1."""
-        return self.cbeta if self.apply_cbeta else 1.0
 
 
 def c_beta_const(params: SchemeParams) -> float:

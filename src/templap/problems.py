@@ -22,7 +22,7 @@ import numpy as np
 
 from .assembly import BoundarySpec
 from .core import Grid, SchemeParams, e1, gamma_fn
-from .quadrature import GAUSS_JACOBI_POINTS, weighted_interval_rule
+from .quadrature import GAUSS_JACOBI_POINTS, jacobi_gauss_rule
 from .reference import reference_apply_operator
 from .tails import tail_profile
 
@@ -40,7 +40,7 @@ def example1_f(params: SchemeParams, grid: Grid) -> np.ndarray:
     terms plus two incomplete integrals of linear polynomials against
     e^{-lam t} t^{1-beta}; for beta = 1 the kernel powers collapse to
     elementary integrals plus a difference of exponential integral tails.
-    Scaled by the normalization constant iff the operator is.
+    Scaled by the normalization constant, as the operator is.
     """
     if (grid.a, grid.b) != (0.0, 1.0):
         raise ValueError("the manufactured source for problem 1 lives on (0, 1)")
@@ -51,8 +51,10 @@ def example1_f(params: SchemeParams, grid: Grid) -> np.ndarray:
     tails = tail_profile(x, params) + tail_profile(1.0 - x, params)
 
     if not params.is_log_case:
-        tL, wL = weighted_interval_rule(GAUSS_JACOBI_POINTS, 1.0 - beta, 1.0)
-        # Nodes/weights for int_0^d: rescale the unit-interval rule by d.
+        # int_0^1 g(t) t^{1-beta} dt = sum wL g(tL); rescaled by d for int_0^d.
+        rule = jacobi_gauss_rule(GAUSS_JACOBI_POINTS, 0.0, 1.0 - beta)
+        tL = (1.0 / 2.0) * (1.0 + rule.nodes)
+        wL = (1.0 / 2.0) ** ((1.0 - beta) + 1.0) * rule.weights
         def incomplete(d, const, sign):
             t = np.multiply.outer(d, tL)
             vals = (sign * t + const[:, None]) * np.exp(-lam * t)
@@ -78,7 +80,7 @@ def example1_f(params: SchemeParams, grid: Grid) -> np.ndarray:
              + (-moment1(x) + (3.0 * x - 1.0) * moment0(x))
              + (moment1(1.0 - x) + (3.0 * x - 1.0) * moment0(1.0 - x))
              + up * tail_diff)
-    return params.scale * f
+    return params.cbeta * f
 
 
 def example2_extension(y) -> np.ndarray:

@@ -70,18 +70,6 @@ def gauss_legendre_rule(n: int) -> QuadratureRule:
     return jacobi_gauss_rule(n, 0.0, 0.0)
 
 
-def weighted_interval_rule(n: int, beta_w: float, d: float):
-    """Points/weights for  int_0^d f(t) t^{beta_w} dt  =  sum w_j f(t_j).
-
-    Maps the (0, beta_w) Jacobi rule from [-1, 1] onto [0, d], absorbing the
-    algebraic factor t^{beta_w} into the weights; f only needs to be smooth.
-    """
-    rule = jacobi_gauss_rule(n, 0.0, beta_w)
-    t = (d / 2.0) * (1.0 + rule.nodes)
-    w = (d / 2.0) ** (beta_w + 1.0) * rule.weights
-    return t, w
-
-
 def geometric_breakpoints(start: float, stop: float, first_width: float) -> np.ndarray:
     """Panel edges from start to stop > start, each width double the last.
 

@@ -1,7 +1,8 @@
 """Direct high-accuracy application of the tempered fractional Laplacian.
 
 Independent of the finite-difference machinery: used to manufacture source
-terms and to cross-check the discretization.  The principal value is
+terms and to cross-check the discretization.  Like the assembled operator,
+it includes the normalization constant c_beta.  The principal value is
 removed by pairing y = x - t with y = x + t on the symmetric near field
 |y - x| <= delta (delta = distance from x to the nearer endpoint), where
 the second difference 2u(x) - u(x-t) - u(x+t) is O(t^2):
@@ -45,7 +46,7 @@ def reference_apply_operator(
     a neighborhood of [a, b] and equal to the exterior data outside.
     ``support`` = (lo, hi), when given, declares that u vanishes outside
     [lo, hi]; by default u is assumed to vanish outside [a, b].  The
-    normalization constant is applied iff params.apply_cbeta.
+    result includes the normalization constant params.cbeta.
 
     ``second_difference(x, t)``, when supplied, gets the column x[:, None]
     (N, 1) and the near-field offsets t (N, n), and returns the (N, n) values
@@ -90,5 +91,5 @@ def reference_apply_operator(
         vals = wts * (u(x[owner] + sgn * pts) * np.exp(-lam * pts) * pts ** (-1.0 - beta))
         far -= np.bincount(owner, weights=vals, minlength=x.size)
 
-    out = params.scale * (near + far)
+    out = params.cbeta * (near + far)
     return out if x0.ndim else float(out[0])

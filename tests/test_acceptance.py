@@ -241,14 +241,14 @@ def _untempered_endpoint_operator(op):
 
     Problem 1 has zero exterior data, so those weights reach the system only
     through the diagonal (the row-sum identity); the variant adds
-    scale * (1 - e^{-lam i h}) * boundary_left(i) / i^s for each endpoint.
+    cbeta * (1 - e^{-lam i h}) * boundary_left(i) / i^s for each endpoint.
     """
     params, grid = op.params, op.grid
     i = np.arange(2, grid.M + 1)
     left = np.zeros(grid.M)
     left[1:] = (boundary_left_profile(i, params, grid) / i.astype(float) ** params.s
                 * -np.expm1(-params.lam * i * grid.h))
-    return dataclasses.replace(op, diag=op.diag + params.scale * (left + left[::-1]))
+    return dataclasses.replace(op, diag=op.diag + params.cbeta * (left + left[::-1]))
 
 
 def test_criterion_2_problem1_error_magnitudes(ex1):
@@ -528,7 +528,7 @@ def _brute_force_small_system_check(params):
         return -(A(3, i, j + 1) + A(4, i, j)) * eps(j - i)
 
     op = assemble_operator(params, grid)
-    dense = materialize_dense(op) / params.scale
+    dense = materialize_dense(op) / params.cbeta
     for i in range(1, M + 1):
         for j in range(1, M + 1):
             assert dense[i - 1, j - 1] == pytest.approx(brute(i, j), rel=1e-8), (i, j)
@@ -552,7 +552,7 @@ def _brute_force_small_system_check(params):
         else:
             lift = (A(1, i, 1) * eps(i) * 0.25
                     + A(4, i, M + 1) * eps(M + 1 - i) * (-0.5))
-        return f_phys[i - 1] + params.scale * (d1 + d2 + lift)
+        return f_phys[i - 1] + params.cbeta * (d1 + d2 + lift)
 
     for i in range(1, M + 1):
         assert F[i - 1] == pytest.approx(brute_load(i), rel=1e-8), i

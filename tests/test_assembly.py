@@ -126,7 +126,7 @@ class TestBruteForceOracle:
             return -(A(3, i, j + 1) + A(4, i, j)) * eps(j - i)
 
         op = assemble_operator(p, grid)
-        dense = materialize_dense(op) / p.scale
+        dense = materialize_dense(op) / p.cbeta
         for i in range(1, M + 1):
             for j in range(1, M + 1):
                 assert dense[i - 1, j - 1] == pytest.approx(brute(i, j), rel=1e-9)
@@ -216,9 +216,9 @@ class TestLoadVector:
         w_sing = singular_cell_weight(p, grid)
         bl = boundary_left_profile(np.arange(2, M + 1), p, grid)
         damp = lambda m: math.exp(-lam * m * h) / float(m) ** s
-        want_row1 = p.scale * (w_sing * ua + bl[M - 2] * damp(M) * ub)
-        want_row5 = p.scale * (bl[5 - 2] * damp(5) * ua + bl[M - 5 - 1] * damp(M + 1 - 5) * ub)
-        want_rowM = p.scale * (w_sing * ub + bl[M - 2] * damp(M) * ua)
+        want_row1 = p.cbeta * (w_sing * ua + bl[M - 2] * damp(M) * ub)
+        want_row5 = p.cbeta * (bl[5 - 2] * damp(5) * ua + bl[M - 5 - 1] * damp(M + 1 - 5) * ub)
+        want_rowM = p.cbeta * (w_sing * ub + bl[M - 2] * damp(M) * ua)
         assert F[0] == pytest.approx(want_row1, rel=1e-13)
         assert F[4] == pytest.approx(want_row5, rel=1e-13)
         assert F[M - 1] == pytest.approx(want_rowM, rel=1e-13)

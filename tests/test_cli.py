@@ -1,15 +1,29 @@
 """Command-line interface: exit codes, config files, output files."""
 
 import csv
+import re
+from pathlib import Path
 
 import pytest
 
+from templap import cli
 from templap.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "templap" in capsys.readouterr().out
+
+
+def test_every_flag_is_documented(capsys):
+    main(["--help"])
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert len(flags) == 13
+    usage = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
+    for doc in (usage, cli.__doc__):
+        assert flags <= set(re.findall(r"--[a-z][a-z-]*", doc))
 
 
 def test_missing_required_arguments_is_usage_error(capsys):
@@ -86,15 +100,6 @@ def test_config_file_unknown_key(tmp_path):
     assert main(["--config", str(cfg)]) == 1
 
 
-def test_no_cbeta_flag_runs(tmp_path):
-    out = tmp_path / "raw.csv"
-    code = main(["--example", "1", "--beta", "0.5", "--lambda", "3",
-                 "--scheme", "0,0", "--levels", "7", "--no-cbeta",
-                 "--out", str(out)])
-    assert code == 0
-    assert out.exists()
-
-
 def test_radius_flag_reaches_domain(tmp_path):
     out = tmp_path / "r2.csv"
     code = main(["--example", "3", "--beta", "0.5", "--lambda", "0",
@@ -109,30 +114,11 @@ EXIT_TIME = ["--example", "3", "--beta", "1.5", "--lambda", "0", "--scheme", "1,
              "--levels", "7..8"]
 
 
-def _csv_rows(tmp_path, argv, config=None):
-    """Every CSV column but the timing, from a run with an optional config file."""
-    out = tmp_path / "rows.csv"
-    if config is not None:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(config)
-        argv = ["--config", str(cfg)] + argv
-    assert main(argv + ["--out", str(out)]) == 0
-    return [{k: v for k, v in row.items() if k != "seconds"}
-            for row in csv.DictReader(out.open())]
-
-
-def test_no_cbeta_config_key_matches_flag(tmp_path):
-    # Problem 3's unit source is not scaled with the operator, so dropping
-    # the normalization changes its errors.
-    flag = _csv_rows(tmp_path, EXIT_TIME + ["--no-cbeta"])
-    assert flag != _csv_rows(tmp_path, EXIT_TIME)
-    for value in ("true", "1", "yes"):
-        assert _csv_rows(tmp_path, EXIT_TIME, f"no-cbeta = {value}\n") == flag
-
-
-def test_false_no_cbeta_config_key_is_the_default(tmp_path):
-    assert _csv_rows(tmp_path, EXIT_TIME, "no-cbeta = false\n") \
-        == _csv_rows(tmp_path, EXIT_TIME)
+def test_normalization_cannot_be_switched_off(tmp_path):
+    assert main(EXIT_TIME + ["--no-cbeta"]) == 1
+    cfg = tmp_path / "raw.cfg"
+    cfg.write_text("no-cbeta = true\n")
+    assert main(["--config", str(cfg)] + EXIT_TIME) == 1
 
 
 @pytest.mark.parametrize("text", ["example 1\n", "ex = 1\n", "config = other.cfg\n",
@@ -147,7 +133,7 @@ def test_every_flag_and_prefix_still_parses(tmp_path):
     out = tmp_path / "all.md"
     assert main(["--example", "3", "--beta", "1.5", "--lambda", "0", "--scheme", "1,1",
                  "--levels", "7", "--solver", "pcg-ichol", "--tol", "1e-10",
-                 "--band", "6", "--no-cbeta", "--radius", "2.0", "--max-iter", "500",
+                 "--band", "6", "--radius", "2.0", "--max-iter", "500",
                  "--out", str(out), "--format", "markdown"]) == 0
     assert out.read_text().startswith("| J | M |")
     assert main(["--ex", "3", "--be", "1.5", "--lam", "0", "--sch", "1,1", "--lev", "7",

@@ -167,6 +167,18 @@ class TestReportEmission:
                 iterations=int(it), seconds=float(sec)))
         assert format_report(parsed, "csv") == first
 
+    def test_exact_text(self):
+        report = self._report(2)
+        assert format_report(report, "csv") == (
+            "J,M,L2_err,L2_rate,Linf_err,Linf_rate,iters,seconds\n"
+            "7,127,2.4173e-04,--,3.9000e-04,--,9,1.2300e-02\n"
+            "8,255,8.5000e-05,1.51,1.4000e-04,1.50,9,2.5000e-02\n")
+        assert format_report(report, "markdown") == (
+            "| J | M | L2_err | L2_rate | Linf_err | Linf_rate | iters | seconds |\n"
+            "|---|---|---|---|---|---|---|---|\n"
+            "| 7 | 127 | 2.4173e-04 | -- | 3.9000e-04 | -- | 9 | 1.2300e-02 |\n"
+            "| 8 | 255 | 8.5000e-05 | 1.51 | 1.4000e-04 | 1.50 | 9 | 2.5000e-02 |\n")
+
     def test_markdown_shape(self):
         text = format_report(self._report(2), "markdown")
         lines = text.splitlines()

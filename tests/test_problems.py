@@ -143,11 +143,11 @@ class TestProblem3:
         # discrepancy.
         grid = Grid(-1.0, 1.0, 255)
         exact = example3_exact(0.5, 1.0, grid.interior)
+        p = SchemeParams(beta=0.5, lam=0.0, s=0, s1=0)
+        dense = materialize_dense(assemble_operator(p, grid))
         errs = {}
-        for apply_cbeta in (True, False):
-            p = SchemeParams(beta=0.5, lam=0.0, s=0, s1=0, apply_cbeta=apply_cbeta)
-            op = assemble_operator(p, grid)
-            U = np.linalg.solve(materialize_dense(op), np.ones(grid.M))
-            errs[apply_cbeta] = np.max(np.abs(U - exact))
+        for normalized, matrix in ((True, dense), (False, dense / p.cbeta)):
+            U = np.linalg.solve(matrix, np.ones(grid.M))
+            errs[normalized] = np.max(np.abs(U - exact))
         assert errs[True] < 0.1
         assert errs[False] > 0.5

@@ -21,7 +21,7 @@ def extended_cubic(y):
 
 def test_annihilates_constants():
     # A function that equals 1 out to distance L is annihilated up to the
-    # kernel mass beyond L: exactly scale * (T(x - lo) + T(hi - x)).
+    # kernel mass beyond L: exactly cbeta * (T(x - lo) + T(hi - x)).
     one = lambda y: np.ones_like(np.asarray(y, dtype=float))
     for beta, lam in ((0.7, 1.0), (1.4, 0.0), (1.0, 3.0)):
         s, s1 = (0, 0) if beta < 1 else (1, 1)
@@ -29,7 +29,7 @@ def test_annihilates_constants():
         lo, hi = -60.0, 60.0
         for x in (0.31, 0.5, 0.93):
             val = reference_apply_operator(one, x, p, 0.0, 1.0, support=(lo, hi))
-            remainder = p.scale * float(tail_profile(x - lo, p)[0]
+            remainder = p.cbeta * float(tail_profile(x - lo, p)[0]
                                         + tail_profile(hi - x, p)[0])
             assert val == pytest.approx(remainder, rel=1e-9, abs=1e-11)
             if lam > 0.0:
@@ -75,15 +75,6 @@ def test_scalar_point_returns_python_float():
     assert type(reference_apply_operator(extended_cubic, 0.3, p, 0.0, 1.0)) is float
     out = reference_apply_operator(extended_cubic, np.array([0.3]), p, 0.0, 1.0)
     assert isinstance(out, np.ndarray) and out.shape == (1,)
-
-
-def test_normalization_toggle_scales_output():
-    p_on = SchemeParams(beta=0.5, lam=2.0, s=0, s1=0, apply_cbeta=True)
-    p_off = SchemeParams(beta=0.5, lam=2.0, s=0, s1=0, apply_cbeta=False)
-    x = 0.37
-    v_on = reference_apply_operator(extended_cubic, x, p_on, 0.0, 1.0)
-    v_off = reference_apply_operator(extended_cubic, x, p_off, 0.0, 1.0)
-    assert v_on == pytest.approx(p_on.cbeta * v_off, rel=1e-13)
 
 
 # Nodes in both halves of (0, 1) plus the midpoint, where both sides have

@@ -94,6 +94,10 @@ class TestSchemeParams:
         with pytest.raises(ValueError):
             SchemeParams(beta=0.5, lam=-1.0, s=0, s1=0)
 
+    def test_normalization_cannot_be_switched_off(self):
+        with pytest.raises(TypeError):
+            SchemeParams(beta=0.5, lam=0.0, s=0, s1=0, apply_cbeta=False)
+
     @pytest.mark.parametrize("beta,s,s1", [
         (0.5, 0, 1), (0.5, 1, 0), (1.0, 0, 0), (1.0, 1, 0),
         (1.5, 0, 0), (1.5, 1, 0),
