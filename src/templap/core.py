@@ -1,12 +1,12 @@
-"""Parameters, grids, and special functions for the tempered fractional Laplacian.
+"""Scheme parameters, grids, and the normalization constant c_beta.
 
-The operator acting on u at x is
+The tempered fractional Laplacian acting on u at x is
 
     -c * P.V. integral of (u(x) - u(y)) / (e^{lam |x-y|} |x-y|^{1+beta}) dy
 
-with beta in (0, 2) and tempering rate lam >= 0.  The normalization
-constant c = ``SchemeParams.cbeta`` depends on (beta, lam) and always
-multiplies the assembled operator.
+with beta in (0, 2) and finite tempering rate lam >= 0.  The normalization
+constant c = ``SchemeParams.cbeta`` depends on (beta, lam) through the
+Gamma function ``gamma_fn`` and always multiplies the assembled operator.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-EULER_GAMMA = 0.5772156649015329
 
 # Admissible (s, s1) selector pairs per beta range.  The selectors move
 # kernel powers into the interpolated functions; pairs outside these sets
@@ -80,8 +78,8 @@ class SchemeParams:
     def __post_init__(self):
         if not 0.0 < self.beta < 2.0:
             raise ValueError(f"beta must lie strictly inside (0, 2), got {self.beta}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be nonnegative, got {self.lam}")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
         pair = (self.s, self.s1)
         allowed = _SELECTORS_LOW if self.beta < 1.0 else _SELECTORS_HIGH
         if pair not in allowed:
@@ -159,34 +157,3 @@ class Grid:
         """The M interior nodes x_1..x_M."""
         return self.nodes[1:-1]
 
-
-def e1(z):
-    """Exponential integral E1(z) = int_z^inf e^{-t}/t dt for z > 0.
-
-    Below z = 4 the alternating series -gamma - ln z - sum_{n>=1} (-z)^n/(n n!)
-    converges quickly and without harmful cancellation.  It is summed until
-    a term changes no partial sum, at most 64 terms: past that point each
-    term is under half the previous one, so the rest would change nothing
-    either.  From z = 4 on, ``scipy.special.exp1`` is used; it is imported
-    only there, so ``import templap`` does not load scipy.special.
-    """
-    z_arr = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z_arr <= 0.0):
-        raise ValueError("e1 requires z > 0")
-    out = np.empty_like(z_arr)
-    small = z_arr < 4.0
-    zs = z_arr[small]
-    acc = np.zeros_like(zs)
-    term = np.ones_like(zs)
-    for n in range(1, 65):
-        term = term * (-zs) / n
-        summed = acc + term / n
-        if np.array_equal(summed, acc):  # also ends at once when zs is empty
-            break
-        acc = summed
-    out[small] = -EULER_GAMMA - np.log(zs) - acc
-    if (~small).any():
-        from scipy.special import exp1
-
-        out[~small] = exp1(z_arr[~small])
-    return out if isinstance(z, np.ndarray) else float(out[0])

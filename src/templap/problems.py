@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .assembly import BoundarySpec
-from .core import Grid, SchemeParams, e1, gamma_fn
+from .core import Grid, SchemeParams, gamma_fn
 from .quadrature import GAUSS_JACOBI_POINTS, jacobi_gauss_rule
 from .reference import reference_apply_operator
 from .tails import tail_profile
@@ -75,7 +75,10 @@ def example1_f(params: SchemeParams, grid: Grid) -> np.ndarray:
         else:
             moment0 = lambda d: -np.expm1(-lam * d) / lam
             moment1 = lambda d: (-np.expm1(-lam * d) - lam * d * np.exp(-lam * d)) / lam ** 2
-            tail_diff = e1(lam * (1.0 - x)) - e1(lam * x)
+            # Imported here so that ``import templap`` does not load scipy.special.
+            from scipy.special import exp1
+
+            tail_diff = exp1(lam * (1.0 - x)) - exp1(lam * x)
         f = (u * tails
              + (-moment1(x) + (3.0 * x - 1.0) * moment0(x))
              + (moment1(1.0 - x) + (3.0 * x - 1.0) * moment0(1.0 - x))

@@ -11,12 +11,9 @@ from scipy.linalg import eigh_tridiagonal
 from .core import gamma_fn
 
 # Point counts.  The smooth exponential-kernel integrals reach machine
-# precision well below 64 points; the reciprocal-exponent substitution used
-# by the beta = 1 kernel tail has a boundary layer and needs more (128 keeps
-# its node-doubling drift under 1e-12).  Geometrically graded panels get
+# precision well below 64 points.  Geometrically graded panels get
 # PANEL_POINTS Gauss-Legendre points each.
 GAUSS_JACOBI_POINTS = 64
-TAIL_SUBSTITUTION_POINTS = 128
 PANEL_POINTS = 32
 
 

@@ -11,28 +11,16 @@ on the parameters:
 * lam > 0, beta != 1: integration by parts twice leaves the incomplete
   integral of e^{-lam t} t^{1-beta} over (0, d), evaluated spectrally by
   Gauss-Jacobi with weight (1+xi)^{1-beta}.
-* lam > 0, beta = 1: the identity T(d) = e^{-lam d}/d - lam E1(lam d) for
-  d < 1/(2 lam) and for lam d > 30 (where T itself is below e^{-30});
-  in between, substituting w = 1/t maps the tail onto int e^{-lam/w} dw
-  over (lam/K, 1/d] (the cutoff K drops an O(e^{-K}) remainder), done by
-  Gauss-Legendre.
+* lam > 0, beta = 1: substituting t = d s gives the closed form
+  T(d) = E_2(lam d) / d, with E_2 from ``scipy.special.expn``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import SchemeParams, e1, gamma_fn
-from .quadrature import (
-    GAUSS_JACOBI_POINTS,
-    TAIL_SUBSTITUTION_POINTS,
-    gauss_legendre_rule,
-    jacobi_gauss_rule,
-)
-
-# Cutoff K of the reciprocal substitution used for the beta = 1 tail: the
-# integral of e^{-lam/w} over (0, lam/K] is dropped, an O(e^{-K}) truncation.
-TAIL_SUBSTITUTION_CUTOFF = 80.0
+from .core import SchemeParams, gamma_fn
+from .quadrature import GAUSS_JACOBI_POINTS, jacobi_gauss_rule
 
 
 def tail_profile(distances, params: SchemeParams) -> np.ndarray:
@@ -52,20 +40,7 @@ def tail_profile(distances, params: SchemeParams) -> np.ndarray:
                 + lam / (beta * (1.0 - beta)) * np.exp(-lam * d) * d ** (1.0 - beta)
                 + lam ** beta * gamma_fn(-beta)
                 + lam ** 2 / (beta * (1.0 - beta)) * incomplete)
-    out = np.empty_like(d)
-    identity = (d < 0.5 / lam) | (lam * d > 30.0)
-    if identity.any():
-        z = lam * d[identity]
-        out[identity] = np.exp(-z) / d[identity] - lam * e1(z)
-    if (~identity).any():
-        out[~identity] = _tail_unit_order_substitution(d[~identity], lam)
-    return out
+    # Imported here so that ``import templap`` does not load scipy.special.
+    from scipy.special import expn
 
-
-def _tail_unit_order_substitution(d: np.ndarray, lam: float) -> np.ndarray:
-    """beta = 1 tail for 1/(2 lam) <= d <= 30/lam via the reciprocal substitution."""
-    K = TAIL_SUBSTITUTION_CUTOFF
-    rule = gauss_legendre_rule(TAIL_SUBSTITUTION_POINTS)
-    eta = (np.multiply.outer(1.0 / (2.0 * d), rule.nodes + 1.0)
-           - lam * (rule.nodes - 1.0) / (2.0 * K))
-    return (1.0 / (2.0 * d) - lam / (2.0 * K)) * (np.exp(-lam / eta) @ rule.weights)
+    return expn(2, lam * d) / d

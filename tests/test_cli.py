@@ -47,6 +47,14 @@ def test_inadmissible_scheme_is_usage_error():
     assert code == 1
 
 
+@pytest.mark.parametrize("lam", ["inf", "nan"])
+def test_nonfinite_lambda_is_usage_error(lam, capsys):
+    code = main(["--example", "3", "--beta", "0.5", "--lambda", lam,
+                 "--scheme", "0,0", "--levels", "4..5"])
+    assert code == 1
+    assert "lam must be finite" in capsys.readouterr().err
+
+
 def test_small_run_prints_markdown(capsys):
     code = main(["--example", "1", "--beta", "0.5", "--lambda", "0.5",
                  "--scheme", "0,0", "--levels", "7..8", "--solver", "pcg-tchan"])

@@ -1,14 +1,13 @@
-"""Gamma function, normalization constant, and exponential integral tail."""
+"""Grid, Gamma function, normalization constant and parameter validation."""
 
 import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 import scipy.special
 
 from templap import Grid, SchemeParams
-from templap.core import EULER_GAMMA, c_beta_const, e1, gamma_fn
+from templap.core import c_beta_const, gamma_fn
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -91,8 +90,9 @@ class TestSchemeParams:
             SchemeParams(beta=0.0, s=0, s1=0)
         with pytest.raises(ValueError):
             SchemeParams(beta=2.0, s=1, s1=1)
-        with pytest.raises(ValueError):
-            SchemeParams(beta=0.5, lam=-1.0, s=0, s1=0)
+        for lam in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                SchemeParams(beta=0.5, lam=lam, s=0, s1=0)
 
     def test_normalization_cannot_be_switched_off(self):
         with pytest.raises(TypeError):
@@ -118,51 +118,3 @@ class TestSchemeParams:
             warnings.simplefilter("error")
             SchemeParams(beta=1.0, s=1, s1=1)
 
-
-class TestExpIntegralTail:
-    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
-    def test_known_values_against_quadrature(self):
-        for z, frozen in ((1.0, 0.21938393439552026), (0.1, 1.8229239584193906)):
-            oracle = scipy.integrate.quad(lambda t: math.exp(-t) / t, z, np.inf,
-                                          epsabs=1e-15, epsrel=1e-14)[0]
-            assert e1(z) == pytest.approx(oracle, rel=1e-12)
-            assert e1(z) == pytest.approx(frozen, rel=1e-12)
-        # From z = 4 on e1 is scipy.special.exp1; check it against quadrature,
-        # not against itself.
-        for z in (5.0, 30.0, 200.0):
-            oracle = scipy.integrate.quad(lambda t: math.exp(-t) / t, z, np.inf,
-                                          epsabs=0.0, epsrel=1e-13)[0]
-            assert e1(z) == pytest.approx(oracle, rel=1e-12)
-
-    def test_truncation_is_converged_in_usage_regime(self):
-        # e1 stops its series early; that gives the same bits as all 64
-        # terms on (0, 4), and below 1/2 as the 26-term truncation.
-        def series(z, terms):
-            acc, term = np.zeros_like(z), np.ones_like(z)
-            for n in range(1, terms + 1):
-                term = term * (-z) / n
-                acc = acc + term / n
-            return -EULER_GAMMA - np.log(z) - acc
-
-        rng = np.random.default_rng(4)
-        z = np.concatenate([np.geomspace(1e-12, 4.0, 2000, endpoint=False),
-                            rng.uniform(0.0, 4.0, 2000)])
-        z = z[z > 0.0]
-        np.testing.assert_array_equal(e1(z), series(z, 64))
-        low = z[z < 0.5]
-        np.testing.assert_array_equal(e1(low), series(low, 26))
-
-    def test_against_scipy_below_half(self):
-        z = np.linspace(1e-3, 0.5, 97)
-        got = e1(z)
-        np.testing.assert_allclose(got, scipy.special.exp1(z), rtol=1e-13)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            e1(0.0)
-        with pytest.raises(ValueError):
-            e1(np.array([0.5, -1.0]))
-
-    def test_robust_e1_wide_range(self):
-        z = np.concatenate([np.linspace(0.01, 3.9, 51), np.linspace(4.0, 30.0, 53)])
-        np.testing.assert_allclose(e1(z), scipy.special.exp1(z), rtol=1e-12)

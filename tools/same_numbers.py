@@ -11,8 +11,9 @@ differs, with the largest relative difference over its numeric fields and
 the largest share of the golden error tolerance the change uses,
 |err - golden| / (ERR_RTOL |golden|) over both errors, with ``golden.json``
 and ``ERR_RTOL`` read from the change checkout (a share of 1 is the
-benchmark gate's limit).  Exits 1 on any difference, 0 when every level is
-equal.  Standard library only.
+benchmark gate's limit).  The summary line ends with the worst share over
+the differing levels and the level it belongs to.  Exits 1 on any
+difference, 0 when every level is equal.  Standard library only.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ def main(argv=None) -> int:
     changed = run_all(args.change.resolve())
     change, golden, err_rtol = changed["results"], changed["golden"], changed["err_rtol"]
     studies = levels = differing = 0
+    worst = "none"  # worst golden share over the differing levels, and where
+    worst_share = -math.inf
     for workload in sorted(parent.keys() | change.keys()):
         par, chg = parent.get(workload, {}), change.get(workload, {})
         for sid in sorted(par.keys() | chg.keys()):
@@ -99,10 +102,13 @@ def main(argv=None) -> int:
                 levels += 1
                 if p != c:
                     differing += 1
+                    share = golden_share(c, golden.get(sid), err_rtol)
+                    if share > worst_share:  # False for NaN: no golden value
+                        worst_share, worst = share, f"{share:.3f} at {sid} J={p['J']}"
                     print(f"{workload} {sid} J={p['J']}: largest relative difference "
-                          f"{largest_rel_diff(p, c):.3e}, golden tolerance share "
-                          f"{golden_share(c, golden.get(sid), err_rtol):.3f}")
-    print(f"{studies} studies, {levels} levels compared, {differing} differ")
+                          f"{largest_rel_diff(p, c):.3e}, golden tolerance share {share:.3f}")
+    print(f"{studies} studies, {levels} levels compared, {differing} differ, "
+          f"worst golden tolerance share {worst}")
     return 1 if differing else 0
 
 
