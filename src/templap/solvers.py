@@ -9,13 +9,26 @@ is not positive definite, returns the current iterate with the report's
 ``reason`` saying so, never an exception.  A non-finite right-hand side is
 rejected before iterating.  The dense baseline is ``np.linalg.solve`` on
 ``assembly.materialize_dense``.
+
+The solve holds the OpenBLAS that numpy links to one thread in the calling
+thread.  OpenBLAS splits ddot over its pool above 10000 entries, and the
+woken pool then spins on a second core between the solver's reductions.
+On a 2-vCPU x86-64 host the M = 16383 / M = 8191 solve-time ratio of
+``test_asymptotic_cost_of_pcg`` exceeded its 2.6 limit in 4 of 8 runs with
+the default pool of two and stayed at or below 2.54 in 8 of 8 runs with
+one thread.  One thread also gives every reduction the rounding of
+single-threaded runs, whatever the pool size.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +50,36 @@ class SolveReport:
         return self.reason == "converged"
 
 
+@functools.cache
+def _openblas_threads_local():
+    """``openblas_set_num_threads_local`` of numpy's bundled OpenBLAS, or None.
+
+    It sets the pool size for the calling thread only and returns the
+    previous size.  A numpy linked to another BLAS has no such library and
+    is left as it is.
+    """
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
+        return setter
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    setter = _openblas_threads_local()
+    previous = setter(1) if setter else None
+    try:
+        yield
+    finally:
+        if setter:
+            setter(previous)
+
+
+@_one_blas_thread()
 def pcg_solve(op, F, precond, tol: float = 1e-9, max_iter: int | None = None):
     """Preconditioned conjugate gradients for s.p.d. systems.
 

@@ -14,6 +14,7 @@ from templap import (
     materialize_dense,
     pcg_solve,
 )
+from templap.solvers import _openblas_threads_local
 
 
 def diagonal_operator(diag):
@@ -127,6 +128,32 @@ class TestPCG:
         assert not rep.converged and rep.reason == "breakdown"
         assert rep.iterations == 0 and len(rep.relative_residuals) == 0
         np.testing.assert_array_equal(U, np.zeros(8))
+
+    def test_openblas_held_to_one_thread_during_the_solve(self):
+        # Each setter call returns the calling thread's previous pool size:
+        # 1 inside the solve, the caller's own size again after it, also
+        # when the solve raises.
+        setter = _openblas_threads_local()
+        if setter is None:
+            pytest.skip("numpy is not linked to its bundled OpenBLAS")
+        seen = []
+
+        class Probe:
+            def apply(self, r):
+                seen.append(setter(1))
+                return r
+
+        before = setter(2)
+        try:
+            _, rep = pcg_solve(diagonal_operator(np.arange(1.0, 9.0)), np.ones(8), Probe())
+            after_solve = setter(2)
+            with pytest.raises(ValueError):
+                pcg_solve(diagonal_operator(np.ones(8)), np.full(8, np.nan), Probe())
+            after_error = setter(2)
+        finally:
+            setter(before)
+        assert rep.converged and seen and set(seen) == {1}
+        assert after_solve == after_error == 2
 
 
 class TestDense:
