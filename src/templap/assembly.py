@@ -68,7 +68,9 @@ class OperatorMatrix:
         return SymToeplitz(col)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.diag * np.asarray(v, dtype=float) + self.offdiag_toeplitz.matvec(v)
+        out = self.offdiag_toeplitz.matvec(v)
+        out += self.diag * np.asarray(v, dtype=float)
+        return out
 
 
 def offdiag_row_sums(toeplitz_col: np.ndarray) -> np.ndarray:

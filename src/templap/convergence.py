@@ -12,7 +12,7 @@ from .assembly import BoundarySpec, assemble_operator, assemble_rhs, materialize
 from .core import Grid, SchemeParams
 from .preconditioners import build_band_compensated_ichol, build_tchan_precond
 from .problems import example1_exact, example1_f, example2_setup, example3_setup
-from .solvers import SolveReport, pcg_solve
+from .solvers import SolveReport, check_stopping_rule, pcg_solve
 
 SOLVERS = ("cg", "pcg-ichol", "pcg-tchan", "dense")
 RATE_ABSENT = "--"
@@ -72,7 +72,8 @@ class ExperimentConfig:
 
     Levels are exponents J with M = 2^J - 1 interior nodes (problems 1 and
     3, so refinements nest) or M = 2^J (problem 2).  The domain is (0, 1)
-    for problems 1-2 and (-radius, radius) for problem 3.
+    for problems 1-2 and (-radius, radius) for problem 3.  The PCG
+    tolerance must lie in (0, 1) and ``max_iter`` be None or at least 1.
     """
 
     example: int
@@ -89,6 +90,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown example id {self.example}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}; pick one of {SOLVERS}")
+        check_stopping_rule(self.tolerance, self.max_iter)
         lv = tuple(self.levels)
         if len(lv) == 0 or list(lv) != sorted(set(lv)):
             raise ValueError("levels must be strictly ascending and nonempty")

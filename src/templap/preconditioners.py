@@ -64,7 +64,9 @@ class CirculantPrecond:
         """
         if self.inverse is not None:
             return self.inverse.matvec(v)
-        return np.fft.irfft(np.fft.rfft(v) / self.spectrum, n=self.M)
+        freq = np.fft.rfft(v)
+        freq /= self.spectrum
+        return np.fft.irfft(freq, n=self.M)
 
 
 def embeds_inverse(M: int) -> bool:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .assembly import BoundarySpec
 from .core import Grid, SchemeParams, gamma_fn
-from .quadrature import GAUSS_JACOBI_POINTS, jacobi_gauss_rule
+from .quadrature import GAUSS_JACOBI_POINTS, jacobi_gauss_rule, row_block_quadrature
 from .reference import reference_apply_operator
 from .tails import tail_profile
 
@@ -38,8 +38,10 @@ def example1_f(params: SchemeParams, grid: Grid) -> np.ndarray:
 
     Writes the kernel integral of u as u(x)(tail sum) plus boundary power
     terms plus two incomplete integrals of linear polynomials against
-    e^{-lam t} t^{1-beta}; for beta = 1 the kernel powers collapse to
-    elementary integrals plus a difference of exponential integral tails.
+    e^{-lam t} t^{1-beta}, summed in row blocks; for beta = 1 the kernel
+    powers collapse to elementary integrals plus a difference of exponential
+    integral tails.  The tails are the ones the operator's diagonal reuses
+    (see tails.py).
     Scaled by the normalization constant, as the operator is.
     """
     if (grid.a, grid.b) != (0.0, 1.0):
@@ -56,9 +58,11 @@ def example1_f(params: SchemeParams, grid: Grid) -> np.ndarray:
         tL = (1.0 / 2.0) * (1.0 + rule.nodes)
         wL = (1.0 / 2.0) ** ((1.0 - beta) + 1.0) * rule.weights
         def incomplete(d, const, sign):
-            t = np.multiply.outer(d, tL)
-            vals = (sign * t + const[:, None]) * np.exp(-lam * t)
-            return d ** (2.0 - beta) * (vals @ wL)
+            def integrand(sl):
+                t = np.multiply.outer(d[sl], tL)
+                return (sign * t + const[sl, None]) * np.exp(-lam * t)
+
+            return d ** (2.0 - beta) * row_block_quadrature(integrand, d.size, wL)
 
         cL = 3.0 * x - 1.0 + lam * up / (1.0 - beta)
         cR = 3.0 * x - 1.0 - lam * up / (1.0 - beta)

@@ -79,6 +79,18 @@ def _one_blas_thread():
             setter(previous)
 
 
+def check_stopping_rule(tol: float, max_iter: int | None) -> None:
+    """Raise ValueError unless 0 < tol < 1 and max_iter is None or at least 1.
+
+    A tolerance of 0, below 0 or NaN is never met, so PCG would run until
+    it breaks down; one of 1 or more is met before any progress.
+    """
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tolerance must be finite and in (0, 1), got {tol}")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError(f"max_iter must be None or at least 1, got {max_iter}")
+
+
 @_one_blas_thread()
 def pcg_solve(op, F, precond, tol: float = 1e-9, max_iter: int | None = None):
     """Preconditioned conjugate gradients for s.p.d. systems.
@@ -86,8 +98,11 @@ def pcg_solve(op, F, precond, tol: float = 1e-9, max_iter: int | None = None):
     ``op`` is an assembled OperatorMatrix.  ``precond`` is None (plain CG)
     or an object whose ``apply`` method applies an s.p.d. approximation of
     the inverse; anything else raises TypeError.  Deterministic; the factor
-    matrices never appear explicitly.
+    matrices never appear explicitly.  The updates of x, r and p are in
+    place, through one work vector, with the same rounding as the
+    out-of-place expressions.
     """
+    check_stopping_rule(tol, max_iter)
     F = np.asarray(F, dtype=float)
     if not np.all(np.isfinite(F)):
         raise ValueError("right-hand side has non-finite entries")
@@ -106,6 +121,7 @@ def pcg_solve(op, F, precond, tol: float = 1e-9, max_iter: int | None = None):
 
     z = apply_m(r) if apply_m else r
     p = z.copy()
+    work = np.empty_like(F)
     rz = float(r @ z)
     residuals = []
     converged = False
@@ -116,8 +132,8 @@ def pcg_solve(op, F, precond, tol: float = 1e-9, max_iter: int | None = None):
         if not 0.0 < curvature < math.inf:
             break  # not positive definite along p: stop unconverged
         alpha = rz / curvature
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(p, alpha, out=work)
+        r -= np.multiply(Ap, alpha, out=work)
         k += 1
         rel = float(np.linalg.norm(r)) / r0
         residuals.append(rel)
@@ -126,7 +142,8 @@ def pcg_solve(op, F, precond, tol: float = 1e-9, max_iter: int | None = None):
             break
         z = apply_m(r) if apply_m else r
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        np.add(z, p, out=p)
         rz = rz_new
     # Breakdown leaves the loop before k reaches the cap.
     reason = "converged" if converged else "max_iter" if k >= max_iter else "breakdown"

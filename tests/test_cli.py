@@ -55,6 +55,15 @@ def test_nonfinite_lambda_is_usage_error(lam, capsys):
     assert "lam must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--tol=0", "--tol=-1", "--tol=nan", "--tol=inf",
+                                  "--max-iter=0", "--max-iter=-3"])
+def test_unusable_stopping_rule_is_usage_error(flag, capsys):
+    code = main(["--example", "3", "--beta", "0.5", "--scheme", "0,0",
+                 "--levels", "4..5", flag])
+    assert code == 1
+    assert "must be" in capsys.readouterr().err
+
+
 def test_small_run_prints_markdown(capsys):
     code = main(["--example", "1", "--beta", "0.5", "--lambda", "0.5",
                  "--scheme", "0,0", "--levels", "7..8", "--solver", "pcg-tchan"])

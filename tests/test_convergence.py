@@ -15,7 +15,9 @@ from templap import (
     format_report,
     run_convergence_study,
 )
+from templap import tails
 from templap.convergence import LevelResult, restrict_to_coarse
+from templap.quadrature import jacobi_gauss_rule
 
 
 class TestErrorNorms:
@@ -128,6 +130,25 @@ class TestStudyRunner:
             ExperimentConfig(example=1, params=p, levels=(8, 7))
         with pytest.raises(ValueError):
             ExperimentConfig(example=1, params=p, levels=(7,), solver="gmres")
+        for bad in (dict(tolerance=0.0), dict(tolerance=math.nan), dict(tolerance=math.inf),
+                    dict(tolerance=1.0), dict(max_iter=0)):
+            with pytest.raises(ValueError):
+                ExperimentConfig(example=1, params=p, levels=(7,), **bad)
+
+    def test_problem1_evaluates_each_tail_once_per_level(self, monkeypatch):
+        # The source and the diagonal need the same two tail profiles,
+        # T(x) and T(1 - x); each is a Gauss-Jacobi sum, run once per level.
+        rules = []
+
+        def counting_rule(*args):
+            rules.append(args)
+            return jacobi_gauss_rule(*args)
+
+        monkeypatch.setattr(tails, "jacobi_gauss_rule", counting_rule)
+        cfg = ExperimentConfig(example=1, params=SchemeParams(beta=0.65, lam=1.3, s=0, s1=0),
+                               levels=(5, 6, 7))
+        run_convergence_study(cfg)
+        assert len(rules) == 2 * len(cfg.levels)
 
 
 class TestReportEmission:

@@ -55,6 +55,15 @@ class TestCG:
             assert not rep.converged and rep.reason == "max_iter"
             assert np.all(np.isfinite(U))
 
+    @pytest.mark.parametrize("tol, max_iter", [(0.0, None), (-1.0, None), (float("nan"), None),
+                                               (float("inf"), None), (1.0, None),
+                                               (1e-9, 0), (1e-9, -3)])
+    def test_rejects_a_stopping_rule_that_cannot_work(self, tol, max_iter):
+        # A tolerance of 0, below 0 or NaN is never met; one of 1 or more,
+        # or a cap below one iteration, ends the solve before it starts.
+        with pytest.raises(ValueError):
+            pcg_solve(diagonal_operator(np.ones(8)), np.ones(8), None, tol=tol, max_iter=max_iter)
+
     def test_zero_rhs(self):
         op = diagonal_operator(np.ones(8))
         U, rep = pcg_solve(op, np.zeros(8), None)

@@ -1,5 +1,6 @@
 """Kernel tail integrals against adaptive quadrature of the definition."""
 
+import contextlib
 import math
 import os
 import subprocess
@@ -11,7 +12,8 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from templap import Grid, SchemeParams, tail_profile, tails
+from templap import Grid, SchemeParams, example1_f, quadrature, tail_profile, tails
+from templap.quadrature import jacobi_gauss_rule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -119,8 +121,40 @@ class TestStructure:
         d = np.array([0.05, 0.4, 1.3])
         assert tails.GAUSS_JACOBI_POINTS == 64
         v64 = tail_profile(d, p)
+        points = []
+
+        def spy(n, *args):
+            points.append(n)
+            return jacobi_gauss_rule(n, *args)
+
         monkeypatch.setattr(tails, "GAUSS_JACOBI_POINTS", 128)
+        monkeypatch.setattr(tails, "jacobi_gauss_rule", spy)
         np.testing.assert_allclose(v64, tail_profile(d, p), rtol=1e-12)
+        assert points == [128]  # the 128-point rule ran, not a kept 64-point result
+
+    def test_a_returned_array_cannot_change_a_later_result(self):
+        p = params_for(0.8, 1.7)
+        d = np.linspace(0.01, 1.0, 50)
+        first = tail_profile(d, p)
+        expected = first.copy()
+        with contextlib.suppress(ValueError):
+            first[:] = 0.0
+        np.testing.assert_array_equal(tail_profile(d, p), expected)
+        # Changing the distances in place after a call is not a repeat of it.
+        d[0] = 0.5
+        assert tail_profile(d, p)[0] == pytest.approx(tail_at(0.5, p), rel=1e-14)
+
+    @pytest.mark.parametrize("M", [127, 128, 129, 4095])
+    @pytest.mark.parametrize("beta, lam, s", [(0.6, 2.5, (0, 0)), (1.4, 0.5, (1, 1))])
+    def test_row_blocks_match_one_shot_sums(self, monkeypatch, M, beta, lam, s):
+        p = SchemeParams(beta=beta, lam=lam, s=s[0], s1=s[1])
+        grid = Grid(0.0, 1.0, M)
+        blocked = tail_profile(grid.interior, p), example1_f(p, grid)
+        monkeypatch.setattr(quadrature, "ROW_BLOCK", M)  # one block for all rows
+        monkeypatch.setattr(tails, "_recent", ())
+        one_shot = tail_profile(grid.interior, p), example1_f(p, grid)
+        for got, want in zip(blocked, one_shot):
+            np.testing.assert_allclose(got, want, rtol=1e-15)
 
     def test_import_does_not_load_scipy_special(self):
         # scipy.special is imported where the beta = 1 tail needs it, so

@@ -11,7 +11,10 @@ with the same seed; even pairs run the parent first, odd pairs the change
 first, so a slow episode of a shared machine does not always land on one
 side.  For each workload and end-to-end metric it prints each side's median
 and quartiles and how many pairs the change won (strictly better, in the
-direction BENCHMARK.json gives) and tied.  Standard library only.
+direction BENCHMARK.json gives) and tied, and ends with a verdict: "gain"
+when the change won at least nine tenths of the pairs (ties count for
+neither side) and its median beats the parent's by more than the parent's
+interquartile range, otherwise "no gain".  Standard library only.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> None:
-    """One line per metric: parent and change median [q1, q3], wins, ties."""
+    """One line per metric: parent and change median [q1, q3], wins, ties, verdict."""
     for name, direction in better.items():
         pairs = [(r["parent"][name], r["change"][name]) for r in runs]
         par, chg = [p for p, _ in pairs], [c for _, c in pairs]
@@ -54,9 +57,11 @@ def summarize(runs: list[dict], better: dict[str, str]) -> None:
         wins = sum(sign * (c - p) < 0 for p, c in pairs)
         ties = sum(c == p for p, c in pairs)
         pq, cq = quartiles(par), quartiles(chg)
+        gain = wins >= 0.9 * len(pairs) and sign * (pq[1] - cq[1]) > pq[2] - pq[0]
         print(f"  {name:14s} parent {pq[1]:.4g} [{pq[0]:.4g}, {pq[2]:.4g}]  "
               f"change {cq[1]:.4g} [{cq[0]:.4g}, {cq[2]:.4g}]  "
-              f"ratio {cq[1] / pq[1]:.3f}  wins {wins}/{len(pairs)}  ties {ties}")
+              f"ratio {cq[1] / pq[1]:.3f}  wins {wins}/{len(pairs)}  ties {ties}  "
+              f"{'gain' if gain else 'no gain'}")
 
 
 def main(argv=None) -> int:
