@@ -32,7 +32,8 @@ from .coefficients import (
     singular_cell_weight,
 )
 from .core import Grid, SchemeParams
-from .quadrature import PANEL_POINTS, geometric_breakpoints, panel_quadrature_points
+from .quadrature import (PANEL_POINTS, geometric_breakpoints, panel_quadrature_points,
+                         row_block_quadrature)
 from .tails import tail_profile
 from .toeplitz import SymToeplitz
 
@@ -173,8 +174,9 @@ def _exterior_load_profile(boundary: BoundarySpec, params: SchemeParams, grid: G
 
     Panels are graded geometrically away from the adjacent endpoint with
     first width h, so the kernel (whose distance never drops below h) is
-    fully resolved; the integrand is evaluated on a (rows x points) grid in
-    one shot.  Returns the unscaled integrals; zero data short-circuits.
+    fully resolved; the integrand is evaluated on a (rows x points) grid,
+    ROW_BLOCK rows at a time.  Returns the unscaled integrals; zero data
+    short-circuits.
     """
     M = grid.M
     if boundary.exterior_g is None:
@@ -189,12 +191,17 @@ def _exterior_load_profile(boundary: BoundarySpec, params: SchemeParams, grid: G
     y = (a - pts) if side == "left" else (b + pts)
     g = np.asarray(boundary.exterior_g(y), dtype=float)
     x = grid.interior
-    dist = (x[:, None] - y[None, :]) if side == "left" else (y[None, :] - x[:, None])
-    # e^{-lam d} d^{-1-beta} as exp(-lam d - (1+beta) ln d), in place.
-    kern = np.log(dist)
-    kern *= -(1.0 + beta)
-    kern -= np.multiply(dist, lam, out=dist)
-    return np.exp(kern, out=kern) @ (g * wts)
+
+    def kernel(rows):
+        xr = x[rows, None]
+        dist = (xr - y[None, :]) if side == "left" else (y[None, :] - xr)
+        # e^{-lam d} d^{-1-beta} as exp(-lam d - (1+beta) ln d), in place.
+        kern = np.log(dist)
+        kern *= -(1.0 + beta)
+        kern -= np.multiply(dist, lam, out=dist)
+        return np.exp(kern, out=kern)
+
+    return row_block_quadrature(kernel, M, g * wts)
 
 
 def assemble_rhs(f_values: np.ndarray, boundary: BoundarySpec, params: SchemeParams,

@@ -12,14 +12,20 @@ from .assembly import BoundarySpec, assemble_operator, assemble_rhs, materialize
 from .core import Grid, SchemeParams
 from .preconditioners import build_band_compensated_ichol, build_tchan_precond
 from .problems import example1_exact, example1_f, example2_setup, example3_setup
-from .solvers import SolveReport, check_stopping_rule, pcg_solve
+from .solvers import SolveReport, _one_blas_thread, check_stopping_rule, pcg_solve
 
 SOLVERS = ("cg", "pcg-ichol", "pcg-tchan", "dense")
 RATE_ABSENT = "--"
 
 
+@_one_blas_thread()
 def error_norms(u_ref: np.ndarray, u_h: np.ndarray, h: float) -> tuple[float, float]:
-    """Discrete L2 norm sqrt(h sum d_i^2) and max norm of the difference."""
+    """Discrete L2 norm sqrt(h sum d_i^2) and max norm of the difference.
+
+    Held to one BLAS thread like pcg_solve: OpenBLAS splits ``d @ d`` over
+    its pool above 10000 entries, which changes the last bit of the L2 norm
+    with the pool size.
+    """
     u_ref = np.asarray(u_ref, dtype=float)
     u_h = np.asarray(u_h, dtype=float)
     if u_ref.shape != u_h.shape:

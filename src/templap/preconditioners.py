@@ -22,6 +22,11 @@ Composite M keep the division and its rounding, so their tabulated errors
 and iteration counts: it was as fast or faster at 255 = 3*5*17, 256, 1024
 and 4095, and the embedding saved at most 30% at 511 = 7*73 and
 2047 = 23*89.
+
+The circulant route needs numpy only.  The banded route imports
+``scipy.linalg`` when a preconditioner is built, for ``cholesky_banded``
+and LAPACK's banded triangular solve ``pbtrs``, so importing this module
+does not load it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 
 from .assembly import OperatorMatrix, offdiag_row_sums
 from .toeplitz import SymToeplitz
@@ -107,19 +111,28 @@ class BandedCholPrecond:
     """Cholesky factor of the diagonally compensated band extraction."""
 
     def __init__(self, bandwidth: int, lower_factor: np.ndarray, compensation: np.ndarray):
+        from scipy.linalg import get_lapack_funcs
+
         self.bandwidth = bandwidth
         self.lower_factor = lower_factor      # scipy lower-banded storage of L, G = L L^T
         self.compensation = compensation      # diagonal of O
         if not (np.all(np.isfinite(lower_factor)) and np.all(lower_factor[0] > 0.0)):
             raise ValueError("banded Cholesky factor is not finite with a positive diagonal")
+        (self._pbtrs,) = get_lapack_funcs(("pbtrs",), (lower_factor,))
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Solve G x = v with two banded triangular solves.
+        """Solve G x = v with two banded triangular solves (LAPACK pbtrs).
 
         No finiteness scan: the constructor checked the factor, and
-        pcg_solve rejects a non-finite right-hand side.
+        pcg_solve rejects a non-finite right-hand side.  v is not modified.
         """
-        return cho_solve_banded((self.lower_factor, True), v, check_finite=False)
+        M = self.lower_factor.shape[1]
+        if np.shape(v)[:1] != (M,):
+            raise ValueError(f"right-hand side has shape {np.shape(v)}, expected ({M},)")
+        x, info = self._pbtrs(self.lower_factor, v, lower=True)
+        if info != 0:
+            raise ValueError(f"banded triangular solve failed: LAPACK pbtrs info = {info}")
+        return x
 
 
 def build_band_compensated_ichol(op: OperatorMatrix, k: int = 10) -> BandedCholPrecond:
@@ -142,9 +155,11 @@ def build_band_compensated_ichol(op: OperatorMatrix, k: int = 10) -> BandedCholP
     band[0] = op.diag + compensation
     for j in range(1, k + 1):
         band[j, :M - j] = t[j]
+    from scipy.linalg import cholesky_banded
+
     try:
         factor = cholesky_banded(band, lower=True)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:  # the class scipy.linalg raises
         raise ValueError(
             "banded Cholesky hit a non-positive pivot; the compensated band "
             "matrix is not positive definite (broken assembly invariants?)"

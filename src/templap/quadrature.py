@@ -1,4 +1,9 @@
-"""Gauss-Jacobi quadrature via the Golub-Welsch algorithm, plus panel helpers."""
+"""Gauss-Jacobi quadrature via the Golub-Welsch algorithm, plus panel helpers.
+
+``scipy.linalg`` is imported when a rule is first built, not with this
+module: a run that builds no Gauss-Jacobi rule (problem 3 at lam = 0 with
+the circulant preconditioner) loads numpy only.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .core import gamma_fn
 
@@ -54,6 +58,8 @@ def jacobi_gauss_rule(n: int, alpha_w: float, beta_w: float) -> QuadratureRule:
 
 @lru_cache(maxsize=256)
 def _cached_rule(n: int, a: float, b: float) -> QuadratureRule:
+    from scipy.linalg import eigh_tridiagonal
+
     ab = a + b
     mu0 = 2.0 ** (ab + 1.0) * gamma_fn(a + 1.0) * gamma_fn(b + 1.0) / gamma_fn(ab + 2.0)
     i = np.arange(n, dtype=float)

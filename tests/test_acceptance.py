@@ -252,6 +252,12 @@ def _untempered_endpoint_operator(op):
 def test_criterion_2_problem1_error_magnitudes(ex1):
     # The published first-order beta = 1 rows are checked against the
     # untempered-endpoint system that produces them (see TABLE1_ERRORS).
+    # On the second-order row (1.0, 1, 1, 3.0) our L2 errors exceed the
+    # published ones by +3.1e-11, +3.2e-11 and +2.8e-11 at J = 12..14.  An
+    # extended-precision diagonal moves ours by at most 1.6e-12 and our
+    # rates stay smooth to J = 14, so the offset is not our rounding: it
+    # fits an absolute floor of about 3e-11 in the published values.  It
+    # is 0.3% of the J = 14 error, well inside the factor-2 band.
     worst = 1.0
     out_of_band = []
     for key, per_level in sorted(TABLE1_ERRORS.items()):

@@ -1,7 +1,12 @@
 """Error norms, rates, study runner, report text."""
 
 import io
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +24,8 @@ from templap import tails
 from templap.convergence import LevelResult, restrict_to_coarse
 from templap.quadrature import jacobi_gauss_rule
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 class TestErrorNorms:
     def test_identical_vectors(self):
@@ -31,6 +38,27 @@ class TestErrorNorms:
         l2, linf = error_norms(np.ones(M), np.zeros(M), h)
         assert l2 == pytest.approx(math.sqrt(M / (M + 1.0)), rel=1e-14)
         assert linf == 1.0
+
+    def test_level_does_not_depend_on_blas_threads(self):
+        # OpenBLAS splits ddot over its pool above 10000 entries.  At
+        # M = 16383 this level's L2 error differed in the last bit between
+        # one and two threads until error_norms ran on one thread.
+        code = ("import dataclasses, json, templap\n"
+                "cfg = templap.ExperimentConfig(example=3, levels=(14,),\n"
+                "    params=templap.SchemeParams(beta=1.5, lam=0.0, s=1, s1=1))\n"
+                "level = dataclasses.asdict(templap.run_convergence_study(cfg).levels[0])\n"
+                "level.pop('seconds')\n"
+                "print(json.dumps(level))\n")
+        levels = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+            out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                 text=True, check=True).stdout
+            levels.append(json.loads(out))
+        assert levels[0]["M"] == 16383
+        assert levels[0] == levels[1]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

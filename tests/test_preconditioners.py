@@ -171,7 +171,15 @@ class TestBandedCholesky:
         P = build_band_compensated_ichol(op, k=10)
         v = np.random.default_rng(3).standard_normal(op.M)
         checked = scipy.linalg.cho_solve_banded((P.lower_factor, True), v)
+        v_before = v.copy()
         np.testing.assert_array_equal(P.apply(v), checked)
+        np.testing.assert_array_equal(v, v_before)  # apply leaves v alone
+
+    def test_apply_rejects_a_mismatched_right_hand_side(self):
+        P = build_band_compensated_ichol(example_op(M=31), k=3)
+        for n in (30, 32):
+            with pytest.raises(ValueError, match="shape"):
+                P.apply(np.ones(n))
 
     def test_nonfinite_factor_rejected_at_construction(self):
         from templap import BandedCholPrecond

@@ -156,19 +156,47 @@ class TestStructure:
         for got, want in zip(blocked, one_shot):
             np.testing.assert_allclose(got, want, rtol=1e-15)
 
-    def test_import_does_not_load_scipy_special(self):
-        # scipy.special is imported where the beta = 1 tail needs it, so
-        # runs that never reach beta = 1 with lam > 0 do not pay its import.
-        code = ("import sys, templap\n"
-                "before = 'scipy.special' in sys.modules\n"
-                "templap.tail_profile(0.5, templap.SchemeParams(beta=1.0, lam=2.0, s=1, s1=1))\n"
-                "print(before, 'scipy.special' in sys.modules)\n")
+    def test_scipy_loads_only_where_needed(self):
+        # scipy.linalg is imported by a Gauss-Jacobi rule or a banded
+        # preconditioner, and scipy.special by a beta = 1 tail, each at the
+        # call.  A problem-3, lam = 0 study with the circulant preconditioner
+        # needs neither, so it runs on numpy alone.
+        prologue = ("import sys, templap\n"
+                    "def loaded():\n"
+                    "    names = {m for m in sys.modules if m.split('.')[0] == 'scipy'}\n"
+                    "    return sorted(names & {'scipy.linalg', 'scipy.special'}) if names else 'none'\n"
+                    "print(loaded())\n")
+        study = ("cfg = templap.ExperimentConfig(example=3, levels=(5,), solver='pcg-tchan',\n"
+                 "    params=templap.SchemeParams(beta=1.5, lam=0.0, s=1, s1=1))\n"
+                 "templap.run_convergence_study(cfg)\n"
+                 "print(loaded())\n")
+        tail_and_rule = (
+            "templap.tail_profile(0.5, templap.SchemeParams(beta=1.0, lam=2.0, s=1, s1=1))\n"
+            "print(loaded())\n"
+            "from templap.quadrature import jacobi_gauss_rule\n"
+            "jacobi_gauss_rule(8, 0.0, -0.5)\n"
+            "print(loaded())\n")
+        banded = ("op = templap.assemble_operator(templap.SchemeParams(beta=1.5, lam=0.0, s=1, s1=1),\n"
+                  "                              templap.Grid(-1.0, 1.0, 31))\n"
+                  "print(loaded())\n"
+                  "templap.build_band_compensated_ichol(op, k=3)\n"
+                  "print(loaded())\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True).stdout
-        assert out.split() == ["False", "True"]
+
+        def stages(code):
+            out = subprocess.run([sys.executable, "-c", prologue + code], env=env,
+                                 capture_output=True, text=True, check=True).stdout
+            return out.splitlines()
+
+        assert stages(study + tail_and_rule) == [
+            "none",                             # import templap
+            "none",                             # problem-3, lam = 0 circulant study
+            "['scipy.special']",                # beta = 1 tail
+            "['scipy.linalg', 'scipy.special']",  # Gauss-Jacobi rule
+        ]
+        assert stages(banded) == ["none", "none", "['scipy.linalg']"]
 
     def test_domain_errors(self):
         p = params_for(0.5, 1.0)
