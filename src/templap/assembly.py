@@ -12,9 +12,9 @@ identity: row sums of H minus the exact kernel tails equal the boundary
 interpolation weights, which makes H a strictly diagonally dominant
 M-matrix (hence symmetric positive definite).
 
-Assembly is deterministic: every entry comes from a per-entry formula, with
-no order-dependent reductions, so concurrent callers sharing the results
-see identical values.
+Assembly is deterministic: every entry comes from a per-entry formula or
+from reductions that run in a fixed order (the diagonal's prefix sums), so
+concurrent callers sharing the results see identical values.
 """
 
 from __future__ import annotations

@@ -23,10 +23,10 @@ and iteration counts: it was as fast or faster at 255 = 3*5*17, 256, 1024
 and 4095, and the embedding saved at most 30% at 511 = 7*73 and
 2047 = 23*89.
 
-The circulant route needs numpy only.  The banded route imports
-``scipy.linalg`` when a preconditioner is built, for ``cholesky_banded``
-and LAPACK's banded triangular solve ``pbtrs``, so importing this module
-does not load it.
+The circulant route needs numpy only.  The banded route is the package's
+only user of ``scipy.linalg``: it imports it when a preconditioner is
+built, for ``cholesky_banded`` and LAPACK's banded triangular solve
+``pbtrs``, so importing this module does not load it.
 """
 
 from __future__ import annotations

@@ -1,9 +1,4 @@
-"""Gauss-Jacobi quadrature via the Golub-Welsch algorithm, plus panel helpers.
-
-``scipy.linalg`` is imported when a rule is first built, not with this
-module: a run that builds no Gauss-Jacobi rule (problem 3 at lam = 0 with
-the circulant preconditioner) loads numpy only.
-"""
+"""Gauss-Jacobi quadrature via the Golub-Welsch algorithm, plus panel helpers."""
 
 from __future__ import annotations
 
@@ -37,6 +32,7 @@ class QuadratureRule:
     weights: np.ndarray
 
 
+@lru_cache(maxsize=256)
 def jacobi_gauss_rule(n: int, alpha_w: float, beta_w: float) -> QuadratureRule:
     """n-point Gauss rule for the Jacobi weight (1-x)^alpha_w (1+x)^beta_w.
 
@@ -45,21 +41,15 @@ def jacobi_gauss_rule(n: int, alpha_w: float, beta_w: float) -> QuadratureRule:
     nodes; weights come from the first eigenvector components scaled by the
     zeroth moment.  Nodes are ascending and strictly inside (-1, 1); an
     n-point rule integrates polynomials of degree 2n-1 exactly against the
-    weight.
+    weight.  Rules are cached and read-only.
 
     Requires n >= 1 and alpha_w, beta_w > -1.
     """
     if n < 1:
         raise ValueError(f"need at least one node, got n = {n}")
-    if alpha_w <= -1.0 or beta_w <= -1.0:
-        raise ValueError(f"Jacobi exponents must exceed -1, got ({alpha_w}, {beta_w})")
-    return _cached_rule(int(n), float(alpha_w), float(beta_w))
-
-
-@lru_cache(maxsize=256)
-def _cached_rule(n: int, a: float, b: float) -> QuadratureRule:
-    from scipy.linalg import eigh_tridiagonal
-
+    a, b = float(alpha_w), float(beta_w)
+    if a <= -1.0 or b <= -1.0:
+        raise ValueError(f"Jacobi exponents must exceed -1, got ({a}, {b})")
     ab = a + b
     mu0 = 2.0 ** (ab + 1.0) * gamma_fn(a + 1.0) * gamma_fn(b + 1.0) / gamma_fn(ab + 2.0)
     i = np.arange(n, dtype=float)
@@ -67,10 +57,14 @@ def _cached_rule(n: int, a: float, b: float) -> QuadratureRule:
     denom[0] = 1.0  # i = 0 handled explicitly below
     diag = (b * b - a * a) / denom
     diag[0] = (b - a) / (ab + 2.0)
-    j = np.arange(1, n, dtype=float)
+    # The general off-diagonal term is 0/0 at j = 1 when a + b = -1, so the
+    # j = 1 term is written with its factor 1 + a + b cancelled.
+    j = np.arange(2, n, dtype=float)
     sj = 2.0 * j + ab
-    off = np.sqrt(4.0 * j * (j + a) * (j + b) * (j + ab) / (sj * sj * (sj * sj - 1.0)))
-    nodes, vecs = eigh_tridiagonal(diag, off)
+    off = np.sqrt(np.concatenate((
+        [4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + ab) ** 2 * (3.0 + ab))],
+        4.0 * j * (j + a) * (j + b) * (j + ab) / (sj * sj * (sj * sj - 1.0)))))[: n - 1]
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     weights = mu0 * vecs[0, :] ** 2
     nodes.flags.writeable = False
     weights.flags.writeable = False

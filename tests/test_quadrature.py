@@ -1,5 +1,7 @@
 """Gauss-Jacobi rules: moments, degree exactness, node/weight structure."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -70,3 +72,28 @@ def test_invalid_arguments():
         jacobi_gauss_rule(0, 0.0, 0.0)
     with pytest.raises(ValueError):
         jacobi_gauss_rule(4, -1.0, 0.0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chebyshev_rule(n):
+    # a + b = -1 makes the general j = 1 recurrence term 0/0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rule = jacobi_gauss_rule.__wrapped__(n, -0.5, -0.5)  # bypass the cache
+    k = np.arange(n, 0, -1)
+    np.testing.assert_allclose(rule.nodes, np.cos((2 * k - 1) * np.pi / (2 * n)),
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rule.weights, np.full(n, np.pi / n), rtol=1e-14)
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 0.5), (0.0, 0.0), (0.0, -0.5), (1.3, -0.2),
+                                 (-0.3, -0.7), (-0.5, -0.5)])
+@pytest.mark.parametrize("n", [2, 8, 64])
+def test_matches_scipy_roots_jacobi(n, a, b):
+    from scipy.special import roots_jacobi
+
+    with np.errstate(invalid="ignore"):  # scipy's own 0/0 at a + b = -1, discarded by np.where
+        nodes, weights = roots_jacobi(n, a, b)
+    rule = jacobi_gauss_rule(n, a, b)
+    np.testing.assert_allclose(rule.nodes, nodes, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(rule.weights, weights, rtol=1e-10)

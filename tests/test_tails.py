@@ -157,26 +157,27 @@ class TestStructure:
             np.testing.assert_allclose(got, want, rtol=1e-15)
 
     def test_scipy_loads_only_where_needed(self):
-        # scipy.linalg is imported by a Gauss-Jacobi rule or a banded
-        # preconditioner, and scipy.special by a beta = 1 tail, each at the
-        # call.  A problem-3, lam = 0 study with the circulant preconditioner
-        # needs neither, so it runs on numpy alone.
+        # Gauss-Jacobi rules need numpy only, so the first studies of problems
+        # 1 and 2 and a problem-3, lam = 0 circulant study load no scipy
+        # module.  scipy.special is imported by a beta = 1 tail and
+        # scipy.linalg by a banded preconditioner, each at the call.
         prologue = ("import sys, templap\n"
+                    "from templap import ExperimentConfig, SchemeParams, run_convergence_study\n"
                     "def loaded():\n"
                     "    names = {m for m in sys.modules if m.split('.')[0] == 'scipy'}\n"
                     "    return sorted(names & {'scipy.linalg', 'scipy.special'}) if names else 'none'\n"
                     "print(loaded())\n")
-        study = ("cfg = templap.ExperimentConfig(example=3, levels=(5,), solver='pcg-tchan',\n"
-                 "    params=templap.SchemeParams(beta=1.5, lam=0.0, s=1, s1=1))\n"
-                 "templap.run_convergence_study(cfg)\n"
-                 "print(loaded())\n")
-        tail_and_rule = (
-            "templap.tail_profile(0.5, templap.SchemeParams(beta=1.0, lam=2.0, s=1, s1=1))\n"
-            "print(loaded())\n"
+        rule_and_studies = (
             "from templap.quadrature import jacobi_gauss_rule\n"
             "jacobi_gauss_rule(8, 0.0, -0.5)\n"
+            "print(loaded())\n"
+            "for example, beta, lam, s in ((1, 0.5, 0.5, 0), (2, 0.5, 0.0, 0), (3, 1.5, 0.0, 1)):\n"
+            "    run_convergence_study(ExperimentConfig(example=example, levels=(5,),\n"
+            "        solver='pcg-tchan', params=SchemeParams(beta=beta, lam=lam, s=s, s1=s)))\n"
+            "    print(loaded())\n"
+            "templap.tail_profile(0.5, SchemeParams(beta=1.0, lam=2.0, s=1, s1=1))\n"
             "print(loaded())\n")
-        banded = ("op = templap.assemble_operator(templap.SchemeParams(beta=1.5, lam=0.0, s=1, s1=1),\n"
+        banded = ("op = templap.assemble_operator(SchemeParams(beta=1.5, lam=0.0, s=1, s1=1),\n"
                   "                              templap.Grid(-1.0, 1.0, 31))\n"
                   "print(loaded())\n"
                   "templap.build_band_compensated_ichol(op, k=3)\n"
@@ -190,11 +191,13 @@ class TestStructure:
                                  capture_output=True, text=True, check=True).stdout
             return out.splitlines()
 
-        assert stages(study + tail_and_rule) == [
-            "none",                             # import templap
-            "none",                             # problem-3, lam = 0 circulant study
-            "['scipy.special']",                # beta = 1 tail
-            "['scipy.linalg', 'scipy.special']",  # Gauss-Jacobi rule
+        assert stages(rule_and_studies) == [
+            "none",               # import templap
+            "none",               # Gauss-Jacobi rule
+            "none",               # problem 1, beta = 0.5, lam = 0.5
+            "none",               # problem 2, beta = 0.5, lam = 0
+            "none",               # problem 3, lam = 0, circulant preconditioner
+            "['scipy.special']",  # beta = 1 tail
         ]
         assert stages(banded) == ["none", "none", "['scipy.linalg']"]
 

@@ -11,10 +11,12 @@ with the same seed; even pairs run the parent first, odd pairs the change
 first, so a slow episode of a shared machine does not always land on one
 side.  For each workload and end-to-end metric it prints each side's median
 and quartiles and how many pairs the change won (strictly better, in the
-direction BENCHMARK.json gives) and tied, and ends with a verdict: "gain"
-when the change won at least nine tenths of the pairs (ties count for
-neither side) and its median beats the parent's by more than the parent's
-interquartile range, otherwise "no gain".  Standard library only.
+direction BENCHMARK.json gives) and tied, and ends with a verdict: "worse"
+when the change's median is worse than the parent's by more than the
+metric's BENCHMARK.json ``bound`` times the parent's median (in magnitude),
+else "gain" when the change won at least nine tenths of the pairs (ties
+count for neither side) and its median beats the parent's by more than the
+parent's interquartile range, otherwise "no gain".  Standard library only.
 """
 
 from __future__ import annotations
@@ -48,20 +50,28 @@ def quartiles(xs: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> None:
-    """One line per metric: parent and change median [q1, q3], wins, ties, verdict."""
-    for name, direction in better.items():
+def summarize(runs: list[dict], metrics: list[dict]) -> None:
+    """One line per metric: parent and change median [q1, q3], wins, ties, verdict.
+
+    ``metrics`` is BENCHMARK.json's ``end_to_end`` list: name, better, bound.
+    """
+    for m in metrics:
+        name = m["name"]
         pairs = [(r["parent"][name], r["change"][name]) for r in runs]
         par, chg = [p for p, _ in pairs], [c for _, c in pairs]
-        sign = 1.0 if direction == "lower" else -1.0
+        sign = 1.0 if m["better"] == "lower" else -1.0
         wins = sum(sign * (c - p) < 0 for p, c in pairs)
         ties = sum(c == p for p, c in pairs)
         pq, cq = quartiles(par), quartiles(chg)
-        gain = wins >= 0.9 * len(pairs) and sign * (pq[1] - cq[1]) > pq[2] - pq[0]
+        if sign * (cq[1] - pq[1]) > m["bound"] * abs(pq[1]):
+            verdict = "worse"
+        elif wins >= 0.9 * len(pairs) and sign * (pq[1] - cq[1]) > pq[2] - pq[0]:
+            verdict = "gain"
+        else:
+            verdict = "no gain"
         print(f"  {name:14s} parent {pq[1]:.4g} [{pq[0]:.4g}, {pq[2]:.4g}]  "
               f"change {cq[1]:.4g} [{cq[0]:.4g}, {cq[2]:.4g}]  "
-              f"ratio {cq[1] / pq[1]:.3f}  wins {wins}/{len(pairs)}  ties {ties}  "
-              f"{'gain' if gain else 'no gain'}")
+              f"ratio {cq[1] / pq[1]:.3f}  wins {wins}/{len(pairs)}  ties {ties}  {verdict}")
 
 
 def main(argv=None) -> int:
@@ -78,7 +88,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     names = [w["name"] for w in spec["workloads"]]
     workloads = []
     for w in args.workload:
@@ -102,7 +111,7 @@ def main(argv=None) -> int:
                 args.out.write_text(json.dumps(runs, indent=1))
     for workload, pairs in runs.items():
         print(f"== {workload} ({len(pairs)} pairs)")
-        summarize(pairs, better)
+        summarize(pairs, spec["end_to_end"])
     return 0
 
 
