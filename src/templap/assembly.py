@@ -175,8 +175,8 @@ def _exterior_load_profile(boundary: BoundarySpec, params: SchemeParams, grid: G
     Panels are graded geometrically away from the adjacent endpoint with
     first width h, so the kernel (whose distance never drops below h) is
     fully resolved; the integrand is evaluated on a (rows x points) grid,
-    ROW_BLOCK rows at a time.  Returns the unscaled integrals; zero data
-    short-circuits.
+    one block of rows at a time in ``row_block_quadrature``'s buffers.
+    Returns the unscaled integrals; zero data short-circuits.
     """
     M = grid.M
     if boundary.exterior_g is None:
@@ -192,16 +192,19 @@ def _exterior_load_profile(boundary: BoundarySpec, params: SchemeParams, grid: G
     g = np.asarray(boundary.exterior_g(y), dtype=float)
     x = grid.interior
 
-    def kernel(rows):
+    def kernel(rows, kern, dist):
         xr = x[rows, None]
-        dist = (xr - y[None, :]) if side == "left" else (y[None, :] - xr)
+        if side == "left":
+            np.subtract(xr, y[None, :], out=dist)
+        else:
+            np.subtract(y[None, :], xr, out=dist)
         # e^{-lam d} d^{-1-beta} as exp(-lam d - (1+beta) ln d), in place.
-        kern = np.log(dist)
+        np.log(dist, out=kern)
         kern *= -(1.0 + beta)
         kern -= np.multiply(dist, lam, out=dist)
-        return np.exp(kern, out=kern)
+        np.exp(kern, out=kern)
 
-    return row_block_quadrature(kernel, M, g * wts)
+    return row_block_quadrature(kernel, (M,), g * wts)
 
 
 def assemble_rhs(f_values: np.ndarray, boundary: BoundarySpec, params: SchemeParams,

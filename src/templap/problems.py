@@ -38,10 +38,14 @@ def example1_f(params: SchemeParams, grid: Grid) -> np.ndarray:
 
     Writes the kernel integral of u as u(x)(tail sum) plus boundary power
     terms plus two incomplete integrals of linear polynomials against
-    e^{-lam t} t^{1-beta}, summed in row blocks; for beta = 1 the kernel
-    powers collapse to elementary integrals plus a difference of exponential
-    integral tails.  The tails are the ones the operator's diagonal reuses
-    (see tails.py).
+    e^{-lam t} t^{1-beta}; for beta = 1 the kernel powers collapse to
+    elementary integrals plus a difference of exponential integral tails.
+    The tails are the ones the operator's diagonal reuses (see tails.py).
+    Every other term is evaluated once on the distances x to the left
+    endpoint and reversed for the distances 1 - x to the right one: both
+    incomplete integrals share one e^{-lam t} grid per row block, and
+    beta = 1 takes one ``exp1`` sweep.  Where h is a power of two, 1 - x
+    is exactly x reversed; elsewhere the two differ by rounding.
     Scaled by the normalization constant, as the operator is.
     """
     if (grid.a, grid.b) != (0.0, 1.0):
@@ -57,35 +61,42 @@ def example1_f(params: SchemeParams, grid: Grid) -> np.ndarray:
         rule = jacobi_gauss_rule(GAUSS_JACOBI_POINTS, 0.0, 1.0 - beta)
         tL = (1.0 / 2.0) * (1.0 + rule.nodes)
         wL = (1.0 / 2.0) ** ((1.0 - beta) + 1.0) * rule.weights
-        def incomplete(d, const, sign):
-            def integrand(sl):
-                t = np.multiply.outer(d[sl], tL)
-                return (sign * t + const[sl, None]) * np.exp(-lam * t)
-
-            return d ** (2.0 - beta) * row_block_quadrature(integrand, d.size, wL)
-
         cL = 3.0 * x - 1.0 + lam * up / (1.0 - beta)
-        cR = 3.0 * x - 1.0 - lam * up / (1.0 - beta)
+        cR = (3.0 * x - 1.0 - lam * up / (1.0 - beta))[::-1]  # the right side runs over x reversed
+
+        def integrands(rows, out, t):
+            # (cL - t) e^{-lam t} and (t + cR) e^{-lam t} on t = x tL, one
+            # exponential grid for both: the right side's rows are x reversed.
+            left, right = out
+            np.multiply.outer(x[rows], tL, out=t)
+            np.exp(np.multiply(t, -lam, out=left), out=left)
+            np.multiply(np.add(t, cR[rows, None], out=right), left, out=right)
+            np.multiply(np.subtract(cL[rows, None], t, out=t), left, out=left)
+
+        scale = x ** (2.0 - beta)
+        left, right = scale * row_block_quadrature(integrands, (2, x.size), wL)
+        power = x ** (1.0 - beta) * np.exp(-lam * x)
         f = (u * tails
-             + up / (1.0 - beta) * (x ** (1.0 - beta) * np.exp(-lam * x)
-                                    - (1.0 - x) ** (1.0 - beta) * np.exp(-lam * (1.0 - x)))
-             + incomplete(x, cL, -1.0)
-             + incomplete(1.0 - x, cR, +1.0))
+             + up / (1.0 - beta) * (power - power[::-1])
+             + left
+             + right[::-1])
     else:
         if lam == 0.0:
-            moment0 = lambda d: d
-            moment1 = lambda d: d * d / 2.0
-            tail_diff = np.log(x) - np.log(1.0 - x)
+            moment0 = x
+            moment1 = x * x / 2.0
+            log_tail = np.log(x)
+            tail_diff = log_tail - log_tail[::-1]
         else:
-            moment0 = lambda d: -np.expm1(-lam * d) / lam
-            moment1 = lambda d: (-np.expm1(-lam * d) - lam * d * np.exp(-lam * d)) / lam ** 2
+            moment0 = -np.expm1(-lam * x) / lam
+            moment1 = (-np.expm1(-lam * x) - lam * x * np.exp(-lam * x)) / lam ** 2
             # Imported here so that ``import templap`` does not load scipy.special.
             from scipy.special import exp1
 
-            tail_diff = exp1(lam * (1.0 - x)) - exp1(lam * x)
+            e1 = exp1(lam * x)
+            tail_diff = e1[::-1] - e1
         f = (u * tails
-             + (-moment1(x) + (3.0 * x - 1.0) * moment0(x))
-             + (moment1(1.0 - x) + (3.0 * x - 1.0) * moment0(1.0 - x))
+             + (-moment1 + (3.0 * x - 1.0) * moment0)
+             + (moment1[::-1] + (3.0 * x - 1.0) * moment0[::-1])
              + up * tail_diff)
     return params.cbeta * f
 

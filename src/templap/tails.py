@@ -18,11 +18,18 @@ A problem-1 level needs the same two profiles twice: once for the
 manufactured source and once for the diagonal.  ``tail_profile`` keeps the
 two most recent results and returns a kept one when the call matches it.
 The key is everything the value depends on: the parameters, the
-Gauss-Jacobi point count, and the distances' shape and bytes (a copy, so
-a caller that later changes its distances array misses).  Returned arrays
-are read-only, so no caller can change a kept result.  The memo is a tuple
-rebound in one step, so concurrent callers can at worst lose an entry and
-compute a profile twice, never see a wrong one.
+Gauss-Jacobi point count, and the distances (a copy, so a caller that
+later changes its distances array misses).  A call whose distances are a
+kept call's distances reversed gets the kept result reversed.  That is
+the value a new sweep would return, bit for bit: every
+entry of T is computed from its own distance alone, by numpy's vectorized
+functions on contiguous data and by row sums that do not depend on a row's
+position (see ``row_block_quadrature``).  On a grid whose h is a power of
+two, b - x is exactly x - a reversed, so such a grid sweeps once per
+level.  Returned arrays are read-only (a reversed one is a read-only view),
+so no caller can change a kept result.  The memo is a tuple rebound in one
+step, so concurrent callers can at worst lose an entry and compute a
+profile twice, never see a wrong one.
 """
 
 from __future__ import annotations
@@ -32,22 +39,27 @@ import numpy as np
 from .core import SchemeParams, gamma_fn
 from .quadrature import GAUSS_JACOBI_POINTS, jacobi_gauss_rule, row_block_quadrature
 
-_recent: tuple = ()  # ((key, read-only T), ...), most recent first, at most two
+# ((params and point count, distances, read-only T), ...), most recent first, at most two
+_recent: tuple = ()
 
 
 def tail_profile(distances, params: SchemeParams) -> np.ndarray:
     """T(d) for an array of positive distances (unnormalized), read-only."""
     global _recent
-    d = np.atleast_1d(np.asarray(distances, dtype=float))
+    # Contiguous, so that numpy's vectorized exp and pow round every entry alike.
+    d = np.atleast_1d(np.ascontiguousarray(distances, dtype=float))
     if np.any(d <= 0.0):
         raise ValueError("tail integrals require positive distances")
-    key = (params, GAUSS_JACOBI_POINTS, d.shape, d.tobytes())
-    for k, T in _recent:
-        if k == key:
-            return T
+    key = (params, GAUSS_JACOBI_POINTS)
+    for k, kept, T in _recent:
+        if k == key and kept.shape == d.shape:
+            if np.array_equal(kept, d):
+                return T
+            if np.array_equal(kept, np.flip(d)):
+                return np.flip(T)
     T = _evaluate(d, params)
     T.flags.writeable = False
-    _recent = ((key, T),) + _recent[:1]
+    _recent = ((key, d.copy(), T),) + _recent[:1]
     return T
 
 
@@ -59,8 +71,11 @@ def _evaluate(d: np.ndarray, params: SchemeParams) -> np.ndarray:
         rule = jacobi_gauss_rule(GAUSS_JACOBI_POINTS, 0.0, 1.0 - beta)
         # int_0^d e^{-lam t} t^{1-beta} dt, algebraic factor in the weight
         rate, shifted = -(lam * d / 2.0).ravel(), 1.0 + rule.nodes
-        sums = row_block_quadrature(lambda sl: np.exp(np.multiply.outer(rate[sl], shifted)),
-                                    d.size, rule.weights)
+
+        def integrand(sl, out, scratch):
+            np.exp(np.multiply.outer(rate[sl], shifted, out=out), out=out)
+
+        sums = row_block_quadrature(integrand, (d.size,), rule.weights)
         incomplete = (d / 2.0) ** (2.0 - beta) * sums.reshape(d.shape)
         return (np.exp(-lam * d) * d ** (-beta) / beta
                 + lam / (beta * (1.0 - beta)) * np.exp(-lam * d) * d ** (1.0 - beta)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 from templap import (
     ConvergenceReport,
@@ -165,7 +166,8 @@ class TestStudyRunner:
 
     def test_problem1_evaluates_each_tail_once_per_level(self, monkeypatch):
         # The source and the diagonal need the same two tail profiles,
-        # T(x) and T(1 - x); each is a Gauss-Jacobi sum, run once per level.
+        # T(x) and T(1 - x).  With h a power of two, 1 - x is x reversed, so
+        # one Gauss-Jacobi sum per level serves all four calls.
         rules = []
 
         def counting_rule(*args):
@@ -176,7 +178,28 @@ class TestStudyRunner:
         cfg = ExperimentConfig(example=1, params=SchemeParams(beta=0.65, lam=1.3, s=0, s1=0),
                                levels=(5, 6, 7))
         run_convergence_study(cfg)
-        assert len(rules) == 2 * len(cfg.levels)
+        assert len(rules) == len(cfg.levels)
+
+    def test_problem1_unit_order_takes_one_special_function_sweep_per_level(self, monkeypatch):
+        # beta = 1: the tail is E_2(lam d) / d and the source needs E_1 at x
+        # and at 1 - x; each is evaluated once per level, on x.
+        calls = {"exp1": 0, "expn": 0}
+
+        def counting(name):
+            real = getattr(scipy.special, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(scipy.special, name, counting(name))
+        cfg = ExperimentConfig(example=1, params=SchemeParams(beta=1.0, lam=3.0, s=1, s1=1),
+                               levels=(5, 6, 7))
+        run_convergence_study(cfg)
+        assert calls == {"exp1": len(cfg.levels), "expn": len(cfg.levels)}
 
 
 class TestReportEmission:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
 from templap import (
     BoundarySpec,
@@ -20,7 +21,8 @@ from templap import (
     materialize_dense,
     reference_apply_operator,
 )
-from templap import problems
+from templap import problems, tail_profile
+from templap.quadrature import GAUSS_JACOBI_POINTS, jacobi_gauss_rule, row_block_quadrature
 from templap.assembly import _exterior_load_profile
 from templap.problems import EXAMPLE2_SUPPORT, example2_extension, example2_second_difference
 
@@ -49,6 +51,60 @@ class TestProblem1:
         U = np.linalg.solve(materialize_dense(op), example1_f(p, grid))
         err = np.max(np.abs(U - example1_exact(grid.interior)))
         assert err < 5e-3  # coarse-grid sanity; rates are checked elsewhere
+
+
+def two_sweep_example1_f(params, grid):
+    """example1_f with every right-side term evaluated on 1 - x by its own sweep."""
+    beta, lam = params.beta, params.lam
+    x = grid.interior
+    u = example1_exact(x)
+    up = 2.0 * x - 3.0 * x * x
+    tails = tail_profile(x, params) + tail_profile(1.0 - x, params)
+    if not params.is_log_case:
+        rule = jacobi_gauss_rule(GAUSS_JACOBI_POINTS, 0.0, 1.0 - beta)
+        tL = (1.0 / 2.0) * (1.0 + rule.nodes)
+        wL = (1.0 / 2.0) ** ((1.0 - beta) + 1.0) * rule.weights
+
+        def incomplete(d, const, sign):
+            def integrand(sl, out, scratch):
+                t = np.multiply.outer(d[sl], tL)
+                out[...] = (sign * t + const[sl, None]) * np.exp(-lam * t)
+
+            return d ** (2.0 - beta) * row_block_quadrature(integrand, (d.size,), wL)
+
+        cL = 3.0 * x - 1.0 + lam * up / (1.0 - beta)
+        cR = 3.0 * x - 1.0 - lam * up / (1.0 - beta)
+        f = (u * tails
+             + up / (1.0 - beta) * (x ** (1.0 - beta) * np.exp(-lam * x)
+                                    - (1.0 - x) ** (1.0 - beta) * np.exp(-lam * (1.0 - x)))
+             + incomplete(x, cL, -1.0)
+             + incomplete(1.0 - x, cR, +1.0))
+    else:
+        if lam == 0.0:
+            moment0 = lambda d: d
+            moment1 = lambda d: d * d / 2.0
+            tail_diff = np.log(x) - np.log(1.0 - x)
+        else:
+            moment0 = lambda d: -np.expm1(-lam * d) / lam
+            moment1 = lambda d: (-np.expm1(-lam * d) - lam * d * np.exp(-lam * d)) / lam ** 2
+            tail_diff = scipy.special.exp1(lam * (1.0 - x)) - scipy.special.exp1(lam * x)
+        f = (u * tails
+             + (-moment1(x) + (3.0 * x - 1.0) * moment0(x))
+             + (moment1(1.0 - x) + (3.0 * x - 1.0) * moment0(1.0 - x))
+             + up * tail_diff)
+    return params.cbeta * f
+
+
+class TestProblem1Mirror:
+    @pytest.mark.parametrize("M", [7, 127, 4095])
+    @pytest.mark.parametrize("beta, lam, s", [(0.5, 3.0, 0), (1.5, 0.5, 1), (1.0, 0.0, 1),
+                                              (1.0, 3.0, 1)])
+    def test_source_equals_a_two_sweep_evaluation(self, M, beta, lam, s):
+        # With h a power of two, 1 - x is exactly x reversed, so one sweep on
+        # x reversed gives the right side's values bit for bit.
+        p = SchemeParams(beta=beta, lam=lam, s=s, s1=s)
+        grid = Grid(0.0, 1.0, M)
+        np.testing.assert_array_equal(example1_f(p, grid), two_sweep_example1_f(p, grid))
 
 
 class TestProblem2:

@@ -150,11 +150,48 @@ class TestStructure:
         p = SchemeParams(beta=beta, lam=lam, s=s[0], s1=s[1])
         grid = Grid(0.0, 1.0, M)
         blocked = tail_profile(grid.interior, p), example1_f(p, grid)
-        monkeypatch.setattr(quadrature, "ROW_BLOCK", M)  # one block for all rows
+        monkeypatch.setattr(quadrature, "BLOCK_BYTES", 1 << 30)  # one block for all rows
         monkeypatch.setattr(tails, "_recent", ())
         one_shot = tail_profile(grid.interior, p), example1_f(p, grid)
         for got, want in zip(blocked, one_shot):
-            np.testing.assert_allclose(got, want, rtol=1e-15)
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("M", [7, 127, 128, 4095])
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 1.0)])
+    @pytest.mark.parametrize("beta, lam", [(0.5, 0.0), (1.0, 2.0), (0.6, 2.5), (1.4, 0.5)])
+    def test_mirrored_distances_give_the_reversed_profile(self, monkeypatch, M, interval,
+                                                          beta, lam):
+        # Each row's Gauss-Jacobi sum depends only on that row, not on where
+        # the sweep puts it, so a fresh sweep over reversed distances is the
+        # reversed profile bit for bit, and the memo may answer it that way.
+        p = params_for(beta, lam)
+        d = Grid(*interval, M).interior - interval[0]
+        monkeypatch.setattr(tails, "_recent", ())
+        T = tail_profile(d, p)
+        monkeypatch.setattr(tails, "_recent", ())
+        np.testing.assert_array_equal(tail_profile(d[::-1], p), T[::-1])  # a fresh sweep
+        mirrored = tail_profile(d, p)  # answered from the kept reversed sweep
+        assert not mirrored.flags.writeable
+        np.testing.assert_array_equal(mirrored, T)
+
+    def test_a_mirrored_call_reuses_the_kept_sweep(self, monkeypatch):
+        p = params_for(0.6, 2.5)
+        d = Grid(0.0, 1.0, 63).interior
+        sweeps = []
+
+        def counting(*args):
+            sweeps.append(args)
+            return evaluate(*args)
+
+        evaluate = tails._evaluate
+        monkeypatch.setattr(tails, "_recent", ())
+        monkeypatch.setattr(tails, "_evaluate", counting)
+        T = tail_profile(d, p)
+        R = tail_profile(1.0 - d, p)
+        assert len(sweeps) == 1 and not R.flags.writeable
+        np.testing.assert_array_equal(R, T[::-1])
+        tail_profile(np.sort(d ** 2), p)  # neither kept distances nor their mirror
+        assert len(sweeps) == 2
 
     def test_scipy_loads_only_where_needed(self):
         # Gauss-Jacobi rules need numpy only, so the first studies of problems

@@ -8,12 +8,14 @@ imported, exactly as ``python3 -m perfbench.run`` does.  It compares each
 study's ``perfbench.studies.summarize`` output (per level: M, both errors,
 both rates, iterations, converged) with ``==`` and prints every level that
 differs, with the largest relative difference over its numeric fields and
-the largest share of the golden error tolerance the change uses,
-|err - golden| / (ERR_RTOL |golden|) over both errors, with ``golden.json``
-and ``ERR_RTOL`` read from the change checkout (a share of 1 is the
-benchmark gate's limit).  The summary line ends with the worst share over
-the differing levels and the level it belongs to.  Exits 1 on any
-difference, 0 when every level is equal.  Standard library only.
+the largest share of the golden gate's tolerance that the change uses, over
+every field the gate checks: |err - golden| / (ERR_RTOL |golden|) for both
+errors, |rate - golden| / RATE_ATOL for both rates and |iterations -
+golden| / ITER_ATOL, with ``golden.json`` and the three tolerances read
+from the change checkout (a share of 1 is the benchmark gate's limit).  The
+summary line ends with the worst share over the differing levels, the level
+it belongs to and the field.  Exits 1 on any difference, 0 when every
+level is equal.  Standard library only.
 """
 
 from __future__ import annotations
@@ -25,14 +27,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-# Runs inside the checkout: one JSON object with the checkout's golden error
-# tolerance, its golden values and {workload: {study id: levels}}.
+# Runs inside the checkout: one JSON object with the checkout's golden
+# tolerances, its golden values and {workload: {study id: levels}}.
 CHILD = """
 import json, perfbench
 perfbench.pin_threads()
 from perfbench import studies
 from templap import run_convergence_study
-print(json.dumps({"err_rtol": studies.ERR_RTOL, "golden": studies.load_golden(),
+print(json.dumps({"tolerances": {"err_rtol": studies.ERR_RTOL, "rate_atol": studies.RATE_ATOL,
+                                 "iter_atol": studies.ITER_ATOL},
+                  "golden": studies.load_golden(),
                   "results": {name: {studies.study_id(cfg):
                                      studies.summarize(run_convergence_study(cfg))
                                      for cfg in w.configs}
@@ -64,13 +68,32 @@ def largest_rel_diff(a: dict, b: dict) -> float:
     return worst
 
 
-def golden_share(level: dict, golden: list | None, err_rtol: float) -> float:
-    """Largest |err - golden| / (err_rtol |golden|) over a level's two errors."""
+def _share(got, want, allowed: float) -> float:
+    """|got - want| / allowed: 0 when equal, inf when one side is missing or not finite."""
+    if got == want:
+        return 0.0
+    if got is None or want is None or not math.isfinite(got) or not allowed:
+        return math.inf
+    return abs(got - want) / allowed
+
+
+def gate_share(level: dict, golden: list | None, tolerances: dict) -> tuple[float, str]:
+    """Largest share of the golden gate's tolerance over a level's gated fields.
+
+    Returns the share and the field it belongs to; (nan, "no golden value")
+    when the study has no golden value for the level.
+    """
     want = next((g for g in golden or () if g["J"] == level["J"]), None)
     if want is None:
-        return math.nan  # no golden value for this level
-    return max(abs(level[key] - want[key]) / (err_rtol * abs(want[key]))
-               for key in ("l2_err", "linf_err"))
+        return math.nan, "no golden value"
+    shares = {key: _share(level[key], want[key], tolerances["err_rtol"] * abs(want[key]))
+              for key in ("l2_err", "linf_err")}
+    shares.update((key, _share(level[key], want[key], tolerances["rate_atol"]))
+                  for key in ("l2_rate", "linf_rate"))
+    shares["iterations"] = _share(level["iterations"], want["iterations"],
+                                  tolerances["iter_atol"])
+    field = max(shares, key=shares.get)
+    return shares[field], field
 
 
 def main(argv=None) -> int:
@@ -82,9 +105,9 @@ def main(argv=None) -> int:
 
     parent = run_all(args.parent.resolve())["results"]
     changed = run_all(args.change.resolve())
-    change, golden, err_rtol = changed["results"], changed["golden"], changed["err_rtol"]
+    change, golden, tolerances = changed["results"], changed["golden"], changed["tolerances"]
     studies = levels = differing = 0
-    worst = "none"  # worst golden share over the differing levels, and where
+    worst = "none"  # worst gate share over the differing levels, and where
     worst_share = -math.inf
     for workload in sorted(parent.keys() | change.keys()):
         par, chg = parent.get(workload, {}), change.get(workload, {})
@@ -102,13 +125,14 @@ def main(argv=None) -> int:
                 levels += 1
                 if p != c:
                     differing += 1
-                    share = golden_share(c, golden.get(sid), err_rtol)
+                    share, field = gate_share(c, golden.get(sid), tolerances)
                     if share > worst_share:  # False for NaN: no golden value
-                        worst_share, worst = share, f"{share:.3f} at {sid} J={p['J']}"
+                        worst_share = share
+                        worst = f"{share:.3f} at {sid} J={p['J']} ({field})"
                     print(f"{workload} {sid} J={p['J']}: largest relative difference "
-                          f"{largest_rel_diff(p, c):.3e}, golden tolerance share {share:.3f}")
+                          f"{largest_rel_diff(p, c):.3e}, gate share {share:.3f} ({field})")
     print(f"{studies} studies, {levels} levels compared, {differing} differ, "
-          f"worst golden tolerance share {worst}")
+          f"worst gate share {worst}")
     return 1 if differing else 0
 
 
