@@ -9,19 +9,9 @@ preconditioner is two banded triangular solves, O(k M).
 Circulant route: replace the diagonal by its mean to get a genuine
 Toeplitz matrix G, then take the closest circulant in Frobenius norm,
 whose first column is c_k = ((M-k) t_k + k t_{M-k}) / M.  The circulant is
-diagonalized by the FFT; application is O(M log M).  At composite M, apply
-divides by the spectrum in length-M transforms.  At a prime M, pocketfft
-(numpy's FFT) has no factor to split: it does the length-M transform as a
-direct O(M^2) sum or, for large M such as 2^13 - 1 = 8191, by Bluestein's
-algorithm.  So at prime M > 100 the inverse circulant's first column is
-formed once at build, and apply is its symmetric Toeplitz product through
-the power-of-two embedding of toeplitz.py.  Timed per apply (numpy 2.4, one
-thread, 2-vCPU x86-64), that took 0.4-0.7 of the division's time at primes
-101-263 and 0.1-0.15 at 8191; below 100 the two were within noise.
-Composite M keep the division and its rounding, so their tabulated errors
-and iteration counts: it was as fast or faster at 255 = 3*5*17, 256, 1024
-and 4095, and the embedding saved at most 30% at 511 = 7*73 and
-2047 = 23*89.
+diagonalized by the FFT, so its inverse's first column is formed once at
+build, and apply is that symmetric Toeplitz product through toeplitz.py's
+power-of-two embedding, O(M log M).
 
 The circulant route needs numpy only.  The banded route is the package's
 only user of ``scipy.linalg``: it imports it when a preconditioner is
@@ -31,7 +21,6 @@ built, for ``cholesky_banded`` and LAPACK's banded triangular solve
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,36 +35,20 @@ class CirculantPrecond:
 
     first_col: np.ndarray
     spectrum: np.ndarray  # rfft of first_col (real), validated positive
-    inverse: SymToeplitz | None = field(init=False, repr=False, compare=False)
+    inverse: SymToeplitz = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        inverse = None
-        if embeds_inverse(self.M):
-            inverse = SymToeplitz(np.fft.irfft(1.0 / self.spectrum, n=self.M))
-        object.__setattr__(self, "inverse", inverse)  # C^{-1}, from M alone
+        # C^{-1} is a symmetric circulant, so a symmetric Toeplitz matrix.
+        inverse = SymToeplitz(np.fft.irfft(1.0 / self.spectrum, n=self.M))
+        object.__setattr__(self, "inverse", inverse)
 
     @property
     def M(self) -> int:
         return self.first_col.size
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Solve C x = v.
-
-        At prime M > 100 (``inverse`` set), x is the product of the
-        symmetric Toeplitz matrix C^{-1} with v, through a power-of-two FFT
-        of length >= 2M.  At every other M, x is found by pointwise division
-        in Fourier space with length-M transforms.
-        """
-        if self.inverse is not None:
-            return self.inverse.matvec(v)
-        freq = np.fft.rfft(v)
-        freq /= self.spectrum
-        return np.fft.irfft(freq, n=self.M)
-
-
-def embeds_inverse(M: int) -> bool:
-    """True when M is a prime above 100, where apply multiplies by C^{-1}."""
-    return M > 100 and all(M % p for p in range(2, math.isqrt(M) + 1))
+        """Solve C x = v as the product C^{-1} v, a power-of-two FFT of length >= 2M."""
+        return self.inverse.matvec(v)
 
 
 def tchan_column(toeplitz_first_col: np.ndarray) -> np.ndarray:

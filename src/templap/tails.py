@@ -15,11 +15,11 @@ on the parameters:
   T(d) = E_2(lam d) / d, with E_2 from ``scipy.special.expn``.
 
 A problem-1 level needs the same two profiles twice: once for the
-manufactured source and once for the diagonal.  ``tail_profile`` keeps the
-two most recent results and returns a kept one when the call matches it.
+manufactured source and once for the diagonal.  ``tail_profile`` keeps its
+most recent result and returns it when the call matches it.
 The key is everything the value depends on: the parameters, the
 Gauss-Jacobi point count, and the distances (a copy, so a caller that
-later changes its distances array misses).  A call whose distances are a
+later changes its distances array misses).  A call whose distances are the
 kept call's distances reversed gets the kept result reversed.  That is
 the value a new sweep would return, bit for bit: every
 entry of T is computed from its own distance alone, by numpy's vectorized
@@ -28,8 +28,8 @@ position (see ``row_block_quadrature``).  On a grid whose h is a power of
 two, b - x is exactly x - a reversed, so such a grid sweeps once per
 level.  Returned arrays are read-only (a reversed one is a read-only view),
 so no caller can change a kept result.  The memo is a tuple rebound in one
-step, so concurrent callers can at worst lose an entry and compute a
-profile twice, never see a wrong one.
+step, so concurrent callers can at worst compute a profile twice, never
+see a wrong one.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from .core import SchemeParams, gamma_fn
 from .quadrature import GAUSS_JACOBI_POINTS, jacobi_gauss_rule, row_block_quadrature
 
-# ((params and point count, distances, read-only T), ...), most recent first, at most two
+# ((params and point count, distances, read-only T),) of the latest sweep, or ()
 _recent: tuple = ()
 
 
@@ -59,7 +59,7 @@ def tail_profile(distances, params: SchemeParams) -> np.ndarray:
                 return np.flip(T)
     T = _evaluate(d, params)
     T.flags.writeable = False
-    _recent = ((key, d.copy(), T),) + _recent[:1]
+    _recent = ((key, d.copy(), T),)
     return T
 
 

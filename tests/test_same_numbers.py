@@ -41,3 +41,23 @@ def test_a_level_without_a_golden_value_has_no_share():
     assert math.isnan(share) and where == "no golden value"
     share, _ = same_numbers.gate_share(moved(12), None, TOLERANCES)
     assert math.isnan(share)
+
+
+def test_summary_gives_each_gated_group_its_worst_share():
+    shares = [("a J=12", same_numbers.gate_shares(
+                  moved(12, l2_err=2.0e-6 * (1 + 0.3e-4), iterations=31), GOLDEN, TOLERANCES)),
+              ("a J=13", same_numbers.gate_shares(
+                  moved(13, linf_err=2.0e-6 * (1 - 0.7e-4), l2_rate=1.0 + 0.2e-3),
+                  GOLDEN, TOLERANCES)),
+              ("b J=14", None)]  # no golden value: in no group and not counted
+    lines = same_numbers.summary(shares)
+    assert lines == ["worst errors share 0.700 at a J=13 (linf_err)",
+                     "worst rates share 0.200 at a J=13 (l2_rate)",
+                     "worst iterations share 1.000 at a J=12 (iterations)",
+                     "1 differing levels at share >= 1"]
+
+
+def test_summary_of_no_differing_level():
+    assert same_numbers.summary([]) == ["worst errors share none", "worst rates share none",
+                                        "worst iterations share none",
+                                        "0 differing levels at share >= 1"]

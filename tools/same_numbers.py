@@ -13,8 +13,9 @@ every field the gate checks: |err - golden| / (ERR_RTOL |golden|) for both
 errors, |rate - golden| / RATE_ATOL for both rates and |iterations -
 golden| / ITER_ATOL, with ``golden.json`` and the three tolerances read
 from the change checkout (a share of 1 is the benchmark gate's limit).  The
-summary line ends with the worst share over the differing levels, the level
-it belongs to and the field.  Exits 1 on any difference, 0 when every
+summary gives, over the differing levels, the worst share of each gated
+group (errors, rates, iterations) with its level and field, and the number
+of levels at a share of 1 or more.  Exits 1 on any difference, 0 when every
 level is equal.  Standard library only.
 """
 
@@ -77,23 +78,55 @@ def _share(got, want, allowed: float) -> float:
     return abs(got - want) / allowed
 
 
+# The gated fields, grouped as the summary reports them.
+GROUPS = {"errors": ("l2_err", "linf_err"), "rates": ("l2_rate", "linf_rate"),
+          "iterations": ("iterations",)}
+
+
+def gate_shares(level: dict, golden: list | None, tolerances: dict) -> dict | None:
+    """Share of the golden gate's tolerance for each gated field of a level.
+
+    None when the study has no golden value for the level.
+    """
+    want = next((g for g in golden or () if g["J"] == level["J"]), None)
+    if want is None:
+        return None
+    allowed = {"l2_err": tolerances["err_rtol"] * abs(want["l2_err"]),
+               "linf_err": tolerances["err_rtol"] * abs(want["linf_err"]),
+               "l2_rate": tolerances["rate_atol"], "linf_rate": tolerances["rate_atol"],
+               "iterations": tolerances["iter_atol"]}
+    return {key: _share(level[key], want[key], tol) for key, tol in allowed.items()}
+
+
 def gate_share(level: dict, golden: list | None, tolerances: dict) -> tuple[float, str]:
     """Largest share of the golden gate's tolerance over a level's gated fields.
 
     Returns the share and the field it belongs to; (nan, "no golden value")
     when the study has no golden value for the level.
     """
-    want = next((g for g in golden or () if g["J"] == level["J"]), None)
-    if want is None:
+    shares = gate_shares(level, golden, tolerances)
+    if shares is None:
         return math.nan, "no golden value"
-    shares = {key: _share(level[key], want[key], tolerances["err_rtol"] * abs(want[key]))
-              for key in ("l2_err", "linf_err")}
-    shares.update((key, _share(level[key], want[key], tolerances["rate_atol"]))
-                  for key in ("l2_rate", "linf_rate"))
-    shares["iterations"] = _share(level["iterations"], want["iterations"],
-                                  tolerances["iter_atol"])
     field = max(shares, key=shares.get)
     return shares[field], field
+
+
+def summary(differing: list) -> list[str]:
+    """Summary lines for the differing levels, given as (label, gate_shares) pairs.
+
+    One line per gated group with its worst share, the level and the field,
+    then the number of levels whose largest share is 1 or more.
+    """
+    lines = []
+    for group, fields in GROUPS.items():
+        worst = max(((shares[f], label, f) for label, shares in differing
+                     if shares is not None for f in fields), default=None)
+        lines.append(f"worst {group} share " + ("none" if worst is None else
+                     f"{worst[0]:.3f} at {worst[1]} ({worst[2]})"))
+    at_limit = sum(shares is not None and max(shares.values()) >= 1.0
+                   for _, shares in differing)
+    lines.append(f"{at_limit} differing levels at share >= 1")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -107,8 +140,7 @@ def main(argv=None) -> int:
     changed = run_all(args.change.resolve())
     change, golden, tolerances = changed["results"], changed["golden"], changed["tolerances"]
     studies = levels = differing = 0
-    worst = "none"  # worst gate share over the differing levels, and where
-    worst_share = -math.inf
+    moved = []  # (label, gate shares) of each differing level
     for workload in sorted(parent.keys() | change.keys()):
         par, chg = parent.get(workload, {}), change.get(workload, {})
         for sid in sorted(par.keys() | chg.keys()):
@@ -125,14 +157,13 @@ def main(argv=None) -> int:
                 levels += 1
                 if p != c:
                     differing += 1
+                    moved.append((f"{sid} J={p['J']}",
+                                  gate_shares(c, golden.get(sid), tolerances)))
                     share, field = gate_share(c, golden.get(sid), tolerances)
-                    if share > worst_share:  # False for NaN: no golden value
-                        worst_share = share
-                        worst = f"{share:.3f} at {sid} J={p['J']} ({field})"
                     print(f"{workload} {sid} J={p['J']}: largest relative difference "
                           f"{largest_rel_diff(p, c):.3e}, gate share {share:.3f} ({field})")
-    print(f"{studies} studies, {levels} levels compared, {differing} differ, "
-          f"worst gate share {worst}")
+    print(f"{studies} studies, {levels} levels compared, {differing} differ")
+    print("\n".join(summary(moved)))
     return 1 if differing else 0
 
 
