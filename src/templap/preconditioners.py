@@ -13,19 +13,23 @@ diagonalized by the FFT, so its inverse's first column is formed once at
 build, and apply is that symmetric Toeplitz product through toeplitz.py's
 power-of-two embedding, O(M log M).
 
-The circulant route needs numpy only.  The banded route is the package's
-only user of ``scipy.linalg``: it imports it when a preconditioner is
-built, for ``cholesky_banded`` and LAPACK's banded triangular solve
-``pbtrs``, so importing this module does not load it.
+The circulant route needs numpy only, and so does the banded route where
+numpy ships its own OpenBLAS (ILP64, symbols prefixed ``scipy_``): it
+calls that library's LAPACK ``dpbtrf`` (banded Cholesky) and ``dpbtrs``
+(the two banded triangular solves) through ctypes.  Elsewhere it falls
+back to ``scipy.linalg``'s ``cholesky_banded`` and ``pbtrs``, imported
+when a preconditioner is built, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assembly import OperatorMatrix, offdiag_row_sums
+from .solvers import _numpy_openblas
 from .toeplitz import SymToeplitz
 
 
@@ -80,18 +84,55 @@ def build_tchan_precond(op: OperatorMatrix) -> CirculantPrecond:
     return CirculantPrecond(first_col=c, spectrum=spectrum)
 
 
+_INT = ctypes.POINTER(ctypes.c_int64)  # an ILP64 LAPACK integer, by reference
+
+
+def _openblas_lapack(name: str, *argtypes):
+    """LAPACK routine ``name`` of numpy's bundled OpenBLAS, or None.
+
+    Fortran takes every argument by reference, then the length of each
+    character argument by value (``size_t``).
+    """
+    routine = getattr(_numpy_openblas(), f"scipy_{name}_64_", None)
+    if routine is not None:
+        routine.argtypes, routine.restype = [*argtypes, ctypes.c_size_t], None
+    return routine
+
+
+def _refs(*ints: int):
+    return [ctypes.byref(ctypes.c_int64(n)) for n in ints]
+
+
 class BandedCholPrecond:
     """Cholesky factor of the diagonally compensated band extraction."""
 
     def __init__(self, bandwidth: int, lower_factor: np.ndarray, compensation: np.ndarray):
-        from scipy.linalg import get_lapack_funcs
-
         self.bandwidth = bandwidth
-        self.lower_factor = lower_factor      # scipy lower-banded storage of L, G = L L^T
+        self.lower_factor = lower_factor      # LAPACK lower band storage of L, G = L L^T
         self.compensation = compensation      # diagonal of O
         if not (np.all(np.isfinite(lower_factor)) and np.all(lower_factor[0] > 0.0)):
             raise ValueError("banded Cholesky factor is not finite with a positive diagonal")
-        (self._pbtrs,) = get_lapack_funcs(("pbtrs",), (lower_factor,))
+        pbtrs = _openblas_lapack("dpbtrs", ctypes.c_char_p, _INT, _INT, _INT,
+                                 ctypes.c_void_p, _INT, ctypes.c_void_p, _INT, _INT)
+        if pbtrs is None:
+            from scipy.linalg import get_lapack_funcs
+
+            (scipy_pbtrs,) = get_lapack_funcs(("pbtrs",), (lower_factor,))
+            self._solve = lambda v: scipy_pbtrs(lower_factor, v, lower=True)
+            return
+        ab = np.asfortranarray(lower_factor, dtype=float)
+        n, kd, ldab = _refs(ab.shape[1], ab.shape[0] - 1, ab.shape[0])
+
+        def solve(v):
+            # A copy in Fortran order: one column per right-hand side.
+            x = np.array(v, dtype=float, order="F")
+            (nrhs,) = _refs(x.size // ab.shape[1])
+            info = ctypes.c_int64()
+            pbtrs(b"L", n, kd, nrhs, ab.ctypes.data, ldab, x.ctypes.data, n,
+                  ctypes.byref(info), 1)
+            return x, info.value
+
+        self._solve = solve
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Solve G x = v with two banded triangular solves (LAPACK pbtrs).
@@ -102,7 +143,7 @@ class BandedCholPrecond:
         M = self.lower_factor.shape[1]
         if np.shape(v)[:1] != (M,):
             raise ValueError(f"right-hand side has shape {np.shape(v)}, expected ({M},)")
-        x, info = self._pbtrs(self.lower_factor, v, lower=True)
+        x, info = self._solve(v)
         if info != 0:
             raise ValueError(f"banded triangular solve failed: LAPACK pbtrs info = {info}")
         return x
@@ -124,17 +165,26 @@ def build_band_compensated_ichol(op: OperatorMatrix, k: int = 10) -> BandedCholP
     in_band = t.copy()
     in_band[k + 1:] = 0.0
     compensation = offdiag_row_sums(t) - offdiag_row_sums(in_band)
-    band = np.zeros((k + 1, M))
+    band = np.zeros((k + 1, M), order="F")
     band[0] = op.diag + compensation
     for j in range(1, k + 1):
         band[j, :M - j] = t[j]
-    from scipy.linalg import cholesky_banded
+    pbtrf = _openblas_lapack("dpbtrf", ctypes.c_char_p, _INT, _INT, ctypes.c_void_p, _INT, _INT)
+    if pbtrf is None:
+        from scipy.linalg import cholesky_banded
 
-    try:
-        factor = cholesky_banded(band, lower=True)
-    except np.linalg.LinAlgError as exc:  # the class scipy.linalg raises
+        try:
+            band = cholesky_banded(band, lower=True)
+            info = 0
+        except np.linalg.LinAlgError:  # the class scipy.linalg raises
+            info = 1
+    else:
+        info = ctypes.c_int64()
+        pbtrf(b"L", *_refs(M, k), band.ctypes.data, *_refs(k + 1), ctypes.byref(info), 1)
+        info = info.value
+    if info != 0:
         raise ValueError(
             "banded Cholesky hit a non-positive pivot; the compensated band "
             "matrix is not positive definite (broken assembly invariants?)"
-        ) from exc
-    return BandedCholPrecond(bandwidth=k, lower_factor=factor, compensation=compensation)
+        )
+    return BandedCholPrecond(bandwidth=k, lower_factor=band, compensation=compensation)

@@ -51,21 +51,31 @@ class SolveReport:
 
 
 @functools.cache
+def _numpy_openblas():
+    """numpy's bundled OpenBLAS, opened with ctypes, or None.
+
+    numpy's wheels ship it as ``numpy.libs/libscipy_openblas*``; a numpy
+    linked to another BLAS has no such library.
+    """
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            continue
+    return None
+
+
+@functools.cache
 def _openblas_threads_local():
     """``openblas_set_num_threads_local`` of numpy's bundled OpenBLAS, or None.
 
     It sets the pool size for the calling thread only and returns the
-    previous size.  A numpy linked to another BLAS has no such library and
-    is left as it is.
+    previous size.
     """
-    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*")):
-        try:
-            setter = ctypes.CDLL(str(path)).openblas_set_num_threads_local
-        except (OSError, AttributeError):
-            continue
+    setter = getattr(_numpy_openblas(), "openblas_set_num_threads_local", None)
+    if setter is not None:
         setter.argtypes, setter.restype = [ctypes.c_int], ctypes.c_int
-        return setter
-    return None
+    return setter
 
 
 @contextlib.contextmanager

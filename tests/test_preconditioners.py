@@ -13,7 +13,10 @@ from templap import (
     materialize_dense,
     pcg_solve,
 )
+from templap import preconditioners
+from templap.assembly import OperatorMatrix
 from templap.preconditioners import tchan_column
+from templap.solvers import _numpy_openblas
 
 
 def compensated_band(P):
@@ -28,6 +31,25 @@ def example_op(beta=0.5, lam=0.5, M=255):
     s, s1 = (0, 0) if beta < 1 else (1, 1)
     grid = Grid(0.0, 1.0, M)
     return assemble_operator(SchemeParams(beta=beta, lam=lam, s=s, s1=s1), grid)
+
+
+def unfactored_band(op, P):
+    """The compensated band matrix G in LAPACK lower band storage."""
+    band = np.zeros((P.bandwidth + 1, op.M))
+    band[0] = op.diag + P.compensation
+    for j in range(1, P.bandwidth + 1):
+        band[j, :op.M - j] = op.toeplitz_col[j]
+    return band
+
+
+@pytest.fixture(params=["openblas", "scipy"])
+def route(request, monkeypatch):
+    """Run the banded preconditioner on numpy's OpenBLAS or on scipy.linalg."""
+    if request.param == "scipy":
+        monkeypatch.setattr(preconditioners, "_numpy_openblas", lambda: None)
+    elif getattr(_numpy_openblas(), "scipy_dpbtrf_64_", None) is None:
+        pytest.skip("numpy ships no OpenBLAS with dpbtrf")
+    return request.param
 
 
 class TestTChanColumn:
@@ -146,14 +168,44 @@ class TestBandedCholesky:
         np.testing.assert_allclose(compensated_band(P) @ ones, op.matvec(ones),
                                    rtol=1e-12)
 
-    def test_apply_without_finite_check_is_bit_identical(self):
-        op = example_op(beta=1.5, lam=0.5, M=511)
-        P = build_band_compensated_ichol(op, k=10)
+    # k = M - 1 at M = 8191 is left out: its band is a dense 8191 x 8191 matrix.
+    @pytest.mark.parametrize("M, k", [(M, k) for M in (31, 32, 511, 8191)
+                                      for k in (1, 3, 10, M - 1) if (M, k) != (8191, 8190)])
+    def test_apply_without_finite_check_is_bit_identical(self, route, M, k):
+        op = example_op(beta=1.5, lam=0.5, M=M)
+        P = build_band_compensated_ichol(op, k=k)
+        factor = scipy.linalg.cholesky_banded(unfactored_band(op, P), lower=True)
+        np.testing.assert_array_equal(P.lower_factor, factor)
         v = np.random.default_rng(3).standard_normal(op.M)
-        checked = scipy.linalg.cho_solve_banded((P.lower_factor, True), v)
+        checked = scipy.linalg.cho_solve_banded((factor, True), v)
         v_before = v.copy()
         np.testing.assert_array_equal(P.apply(v), checked)
         np.testing.assert_array_equal(v, v_before)  # apply leaves v alone
+
+    def test_fallback_runs_on_scipy_linalg_with_the_same_bits(self, monkeypatch):
+        op = example_op(beta=1.5, lam=0.5, M=511)
+        v = np.random.default_rng(4).standard_normal(op.M)
+        P = build_band_compensated_ichol(op, k=10)
+        calls = []
+
+        def spy(name):
+            real = getattr(scipy.linalg, name)
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        monkeypatch.setattr(preconditioners, "_numpy_openblas", lambda: None)
+        for name in ("cholesky_banded", "get_lapack_funcs"):
+            monkeypatch.setattr(scipy.linalg, name, spy(name))
+        fallback = build_band_compensated_ichol(op, k=10)
+        assert calls == ["cholesky_banded", "get_lapack_funcs"]
+        np.testing.assert_array_equal(fallback.lower_factor, P.lower_factor)
+        np.testing.assert_array_equal(fallback.apply(v), P.apply(v))
+
+    def test_apply_solves_each_column(self, route):
+        P = build_band_compensated_ichol(example_op(M=31), k=3)
+        V = np.random.default_rng(5).standard_normal((31, 3))
+        X = P.apply(V)
+        for j in range(3):
+            np.testing.assert_array_equal(X[:, j], P.apply(V[:, j]))
 
     def test_apply_rejects_a_mismatched_right_hand_side(self):
         P = build_band_compensated_ichol(example_op(M=31), k=3)
@@ -183,19 +235,25 @@ class TestBandedCholesky:
             with pytest.raises(ValueError):
                 build_band_compensated_ichol(op, k=bad)
 
-    def test_nonpositive_pivot_raises(self):
-        from templap.assembly import OperatorMatrix
+    @staticmethod
+    def sick_op(diag, col):
+        zeros = np.zeros(diag.size)
+        return OperatorMatrix(diag=diag, toeplitz_col=col, tails_left=zeros,
+                              tails_right=zeros, params=SchemeParams(beta=0.5, s=0, s1=0),
+                              grid=Grid(0.0, 1.0, diag.size))
 
-        grid = Grid(0.0, 1.0, 8)
-        params = SchemeParams(beta=0.5, s=0, s1=0)
+    def test_nonpositive_pivot_raises(self, route):
         col = np.zeros(8)
         col[1] = -2.0
-        zeros = np.zeros(8)
-        sick = OperatorMatrix(diag=np.full(8, 0.5), toeplitz_col=col,
-                              tails_left=zeros, tails_right=zeros,
-                              params=params, grid=grid)
         with pytest.raises(ValueError, match="pivot"):
-            build_band_compensated_ichol(sick, k=2)
+            build_band_compensated_ichol(self.sick_op(np.full(8, 0.5), col), k=2)
+
+    def test_nan_diagonal_raises(self, route):
+        op = example_op(M=31)
+        diag = op.diag.copy()
+        diag[7] = np.nan
+        with pytest.raises(ValueError):
+            build_band_compensated_ichol(self.sick_op(diag, op.toeplitz_col), k=3)
 
     def test_conditioning_improvement(self):
         op = example_op(beta=0.5, lam=0.5, M=255)

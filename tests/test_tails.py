@@ -196,8 +196,11 @@ class TestStructure:
     def test_scipy_loads_only_where_needed(self):
         # Gauss-Jacobi rules need numpy only, so the first studies of problems
         # 1 and 2 and a problem-3, lam = 0 circulant study load no scipy
-        # module.  scipy.special is imported by a beta = 1 tail and
-        # scipy.linalg by a banded preconditioner, each at the call.
+        # module.  scipy.special is imported by a beta = 1 tail, at the call.
+        # The banded preconditioner runs on numpy's bundled OpenBLAS, and
+        # imports scipy.linalg only where numpy ships none.
+        from templap.solvers import _numpy_openblas
+
         prologue = ("import sys, templap\n"
                     "from templap import ExperimentConfig, SchemeParams, run_convergence_study\n"
                     "def loaded():\n"
@@ -218,7 +221,11 @@ class TestStructure:
                   "                              templap.Grid(-1.0, 1.0, 31))\n"
                   "print(loaded())\n"
                   "templap.build_band_compensated_ichol(op, k=3)\n"
+                  "print(loaded())\n"
+                  "run_convergence_study(ExperimentConfig(example=3, levels=(5,), solver='pcg-ichol',\n"
+                  "    params=SchemeParams(beta=1.5, lam=0.0, s=1, s1=1)))\n"
                   "print(loaded())\n")
+        without_openblas = "templap.preconditioners._numpy_openblas = lambda: None\n"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -236,7 +243,12 @@ class TestStructure:
             "none",               # problem 3, lam = 0, circulant preconditioner
             "['scipy.special']",  # beta = 1 tail
         ]
-        assert stages(banded) == ["none", "none", "['scipy.linalg']"]
+        has_dpbtrf = getattr(_numpy_openblas(), "scipy_dpbtrf_64_", None) is not None
+        banded_loads = "none" if has_dpbtrf else "['scipy.linalg']"
+        # operator, banded preconditioner, problem-3 banded study
+        assert stages(banded) == ["none", "none", banded_loads, banded_loads]
+        fallback = ["none", "none", "['scipy.linalg']", "['scipy.linalg']"]
+        assert stages(without_openblas + banded) == fallback
 
     def test_domain_errors(self):
         p = params_for(0.5, 1.0)
