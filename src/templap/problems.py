@@ -24,7 +24,7 @@ from .assembly import BoundarySpec
 from .core import Grid, SchemeParams, gamma_fn
 from .quadrature import GAUSS_JACOBI_POINTS, jacobi_gauss_rule, row_block_quadrature
 from .reference import reference_apply_operator
-from .tails import tail_profile
+from .tails import expint, tail_profile
 
 EXAMPLE2_SUPPORT = (-0.5, 1.5)
 
@@ -44,7 +44,7 @@ def example1_f(params: SchemeParams, grid: Grid) -> np.ndarray:
     Every other term is evaluated once on the distances x to the left
     endpoint and reversed for the distances 1 - x to the right one: both
     incomplete integrals share one e^{-lam t} grid per row block, and
-    beta = 1 takes one ``exp1`` sweep.  Where h is a power of two, 1 - x
+    beta = 1 takes one E_1 sweep (``expint``).  Where h is a power of two, 1 - x
     is exactly x reversed; elsewhere the two differ by rounding.
     Scaled by the normalization constant, as the operator is.
     """
@@ -89,10 +89,7 @@ def example1_f(params: SchemeParams, grid: Grid) -> np.ndarray:
         else:
             moment0 = -np.expm1(-lam * x) / lam
             moment1 = (-np.expm1(-lam * x) - lam * x * np.exp(-lam * x)) / lam ** 2
-            # Imported here so that ``import templap`` does not load scipy.special.
-            from scipy.special import exp1
-
-            e1 = exp1(lam * x)
+            e1 = expint(1, lam * x)
             tail_diff = e1[::-1] - e1
         f = (u * tails
              + (-moment1 + (3.0 * x - 1.0) * moment0)

@@ -93,7 +93,7 @@ def row_block_quadrature(integrand, shape: tuple[int, ...], weights: np.ndarray)
     """
     *lead, rows = shape
     points = weights.size
-    whole = (rows + 3) // 4 * 4  # rows rounded up to whole groups of 4
+    whole = max(4, (rows + 3) // 4 * 4)  # rows rounded up to whole groups of 4, at least one
     block = min(max(4, BLOCK_BYTES // (8 * points) // 4 * 4), whole)
     buffers = np.empty((math.prod(lead) + 1, block, points))
     out, scratch = buffers[:-1].reshape(*lead, block, points), buffers[-1]

@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.special
 
 from templap import (
     ConvergenceReport,
@@ -21,7 +20,7 @@ from templap import (
     format_report,
     run_convergence_study,
 )
-from templap import tails
+from templap import problems, tails
 from templap.convergence import LevelResult, restrict_to_coarse
 from templap.quadrature import jacobi_gauss_rule
 
@@ -186,23 +185,19 @@ class TestStudyRunner:
     def test_problem1_unit_order_takes_one_special_function_sweep_per_level(self, monkeypatch):
         # beta = 1: the tail is E_2(lam d) / d and the source needs E_1 at x
         # and at 1 - x; each is evaluated once per level, on x.
-        calls = {"exp1": 0, "expn": 0}
+        calls = {1: 0, 2: 0}
+        real = tails.expint
 
-        def counting(name):
-            real = getattr(scipy.special, name)
+        def counted(p, x):
+            calls[p] += 1
+            return real(p, x)
 
-            def counted(*args):
-                calls[name] += 1
-                return real(*args)
-
-            return counted
-
-        for name in calls:
-            monkeypatch.setattr(scipy.special, name, counting(name))
+        for module in (tails, problems):
+            monkeypatch.setattr(module, "expint", counted)
         cfg = ExperimentConfig(example=1, params=SchemeParams(beta=1.0, lam=3.0, s=1, s1=1),
                                levels=(5, 6, 7))
         run_convergence_study(cfg)
-        assert calls == {"exp1": len(cfg.levels), "expn": len(cfg.levels)}
+        assert calls == {1: len(cfg.levels), 2: len(cfg.levels)}
 
 
 class TestReportEmission:

@@ -5,7 +5,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 
 from templap import (
     BoundarySpec,
@@ -25,6 +24,7 @@ from templap import problems, tail_profile
 from templap.quadrature import GAUSS_JACOBI_POINTS, jacobi_gauss_rule, row_block_quadrature
 from templap.assembly import _exterior_load_profile
 from templap.problems import EXAMPLE2_SUPPORT, example2_extension, example2_second_difference
+from templap.tails import expint
 
 
 class TestProblem1:
@@ -87,7 +87,7 @@ def two_sweep_example1_f(params, grid):
         else:
             moment0 = lambda d: -np.expm1(-lam * d) / lam
             moment1 = lambda d: (-np.expm1(-lam * d) - lam * d * np.exp(-lam * d)) / lam ** 2
-            tail_diff = scipy.special.exp1(lam * (1.0 - x)) - scipy.special.exp1(lam * x)
+            tail_diff = expint(1, lam * (1.0 - x)) - expint(1, lam * x)
         f = (u * tails
              + (-moment1(x) + (3.0 * x - 1.0) * moment0(x))
              + (moment1(1.0 - x) + (3.0 * x - 1.0) * moment0(1.0 - x))

@@ -8,11 +8,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 
-from templap import Grid, SchemeParams, example1_f, quadrature, tail_profile, tails
+from templap import (Grid, SchemeParams, assemble_operator, example1_f, materialize_dense,
+                     pcg_solve, quadrature, tail_profile, tails)
 from templap.quadrature import jacobi_gauss_rule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -85,7 +87,59 @@ class TestOracleAgreement:
                     d ** (-beta) / beta, rel=1e-14)
 
 
+class TestAgainstMpmath:
+    # E_p and T at 30 digits.  Sampled geometrically over the whole range and
+    # densely around the branch switches of ``expint`` at x = 1/2 and 1.
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_exponential_integrals(self, p):
+        x = np.concatenate([np.geomspace(1e-300, 1e4, 1500), np.linspace(0.4, 1.2, 16001)])
+        got = tails.expint(p, x)
+        with mpmath.workdps(30):
+            for xi, gi in zip(x, got):
+                xm = mpmath.mpf(xi)
+                # E_2 = e^{-x} - x E_1 loses at most 4 of the 30 digits here,
+                # and mpmath's own E_2 takes milliseconds per point at tiny x.
+                want = mpmath.e1(xm) if p == 1 else mpmath.exp(-xm) - xm * mpmath.e1(xm)
+                if want > 1e-300:
+                    assert abs(gi - want) <= 1e-15 * want, (p, xi)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.999, 1.0, 1.001, 1.5, 1.95])
+    def test_tail_profile(self, beta):
+        # lam d >= 3 is evaluated as d^{-beta} E_{1+beta}(lam d) for every beta;
+        # beta = 1 takes it for every lam d.  The reference is taken at the
+        # rounded product lam*d that the code sees: T's relative condition
+        # number in lam d is about lam d, so the product's own rounding
+        # would otherwise account for up to 1e-12 at lam d = 1e4.
+        for lam in (0.5, 3.0, 100.0):
+            z = np.geomspace(1e-6 if beta == 1.0 else 3.0, 1e4, 400)
+            d = z / lam
+            got = tail_profile(d, params_for(beta, lam))
+            with mpmath.workdps(30):
+                for di, gi in zip(d, got):
+                    want = mpmath.mpf(lam) ** beta * mpmath.gammainc(-beta, mpmath.mpf(lam * di))
+                    if want > 1e-300:
+                        assert abs(gi - want) <= 1e-14 * want, (beta, lam, di)
+
+    def test_non_integer_order_needs_x_above_one(self):
+        with mpmath.workdps(30):
+            want = [float(mpmath.expint(1.5, x)) for x in (1.5, 30.0)]
+        np.testing.assert_allclose(tails.expint(1.5, np.array([1.5, 30.0])), want, rtol=1e-15)
+        with pytest.raises(ValueError):
+            tails.expint(1.5, np.array([0.5, 30.0]))
+
+
 class TestStructure:
+    def test_strong_tempering_keeps_the_operator_positive_definite(self):
+        # beta = 0.5, lam = 100 on (0, 20), J = 11: lam h = 0.98 and most
+        # tails have lam d in the hundreds or thousands.  The Gauss-Jacobi
+        # form cancels terms of size lam^beta there, which made most row sums
+        # negative and the smallest eigenvalue of H -0.030; with exact tails
+        # it is +2.6e-6.
+        op = assemble_operator(params_for(0.5, 100.0), Grid(0.0, 20.0, 2047))
+        assert np.linalg.eigvalsh(materialize_dense(op))[0] > 0.0
+        _, report = pcg_solve(op, np.ones(op.M), None)
+        assert report.converged
+
     @pytest.mark.parametrize("beta,lam", [(0.5, 0.0), (0.5, 3.0), (1.0, 2.0), (1.6, 1.0)])
     def test_monotone_and_positive(self, beta, lam):
         g = Grid(0.0, 1.0, 63)
@@ -194,11 +248,11 @@ class TestStructure:
         assert len(sweeps) == 2
 
     def test_scipy_loads_only_where_needed(self):
-        # Gauss-Jacobi rules need numpy only, so the first studies of problems
-        # 1 and 2 and a problem-3, lam = 0 circulant study load no scipy
-        # module.  scipy.special is imported by a beta = 1 tail, at the call.
-        # The banded preconditioner runs on numpy's bundled OpenBLAS, and
-        # imports scipy.linalg only where numpy ships none.
+        # Gauss-Jacobi rules and exponential integrals need numpy only, so
+        # studies of problems 1 and 2 (beta = 1 rows included) and a
+        # problem-3, lam = 0 circulant study load no scipy module.  The
+        # banded preconditioner runs on numpy's bundled OpenBLAS, and imports
+        # scipy.linalg only where numpy ships none.
         from templap.solvers import _numpy_openblas
 
         prologue = ("import sys, templap\n"
@@ -211,9 +265,11 @@ class TestStructure:
             "from templap.quadrature import jacobi_gauss_rule\n"
             "jacobi_gauss_rule(8, 0.0, -0.5)\n"
             "print(loaded())\n"
-            "for example, beta, lam, s in ((1, 0.5, 0.5, 0), (2, 0.5, 0.0, 0), (3, 1.5, 0.0, 1)):\n"
+            "for example, beta, lam, s, s1 in ((1, 0.5, 0.5, 0, 0), (2, 0.5, 0.0, 0, 0),\n"
+            "        (3, 1.5, 0.0, 1, 1), (1, 1.0, 3.0, 1, 1), (2, 1.0, 3.0, 0, 1),\n"
+            "        (2, 1.0, 3.0, 1, 1)):\n"
             "    run_convergence_study(ExperimentConfig(example=example, levels=(5,),\n"
-            "        solver='pcg-tchan', params=SchemeParams(beta=beta, lam=lam, s=s, s1=s)))\n"
+            "        solver='pcg-tchan', params=SchemeParams(beta=beta, lam=lam, s=s, s1=s1)))\n"
             "    print(loaded())\n"
             "templap.tail_profile(0.5, SchemeParams(beta=1.0, lam=2.0, s=1, s1=1))\n"
             "print(loaded())\n")
@@ -241,7 +297,10 @@ class TestStructure:
             "none",               # problem 1, beta = 0.5, lam = 0.5
             "none",               # problem 2, beta = 0.5, lam = 0
             "none",               # problem 3, lam = 0, circulant preconditioner
-            "['scipy.special']",  # beta = 1 tail
+            "none",               # problem 1, beta = 1, lam = 3
+            "none",               # problem 2, beta = 1, lam = 3, (s, s1) = (0, 1)
+            "none",               # problem 2, beta = 1, lam = 3, (s, s1) = (1, 1)
+            "none",               # beta = 1 tail
         ]
         has_dpbtrf = getattr(_numpy_openblas(), "scipy_dpbtrf_64_", None) is not None
         banded_loads = "none" if has_dpbtrf else "['scipy.linalg']"
