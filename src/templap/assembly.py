@@ -160,7 +160,7 @@ def assemble_operator(params: SchemeParams, grid: Grid) -> OperatorMatrix:
     t = assemble_offdiagonal(params, grid)
     x = grid.interior
     B1 = params.cbeta * tail_profile(x - grid.a, params)
-    B2 = params.cbeta * tail_profile(grid.b - x, params)
+    B2 = B1[::-1]  # b - x_i = x_{M+1-i} - a on the uniform grid
     diag = assemble_diagonal(params, grid, t, B1, B2)
     for arr in (t, B1, B2, diag):
         arr.flags.writeable = False

@@ -41,11 +41,11 @@ def example1_f(params: SchemeParams, grid: Grid) -> np.ndarray:
     e^{-lam t} t^{1-beta}; for beta = 1 the kernel powers collapse to
     elementary integrals plus a difference of exponential integral tails.
     The tails are the ones the operator's diagonal reuses (see tails.py).
-    Every other term is evaluated once on the distances x to the left
-    endpoint and reversed for the distances 1 - x to the right one: both
-    incomplete integrals share one e^{-lam t} grid per row block, and
-    beta = 1 takes one E_1 sweep (``expint``).  Where h is a power of two, 1 - x
-    is exactly x reversed; elsewhere the two differ by rounding.
+    Every term, the tails included, is evaluated once on the distances x
+    to the left endpoint and reversed for the distances 1 - x to the right
+    one: both incomplete integrals share one e^{-lam t} grid per row block,
+    and beta = 1 takes one E_1 sweep (``expint``).  Where h is a power of
+    two, 1 - x is exactly x reversed; elsewhere the two differ by rounding.
     Scaled by the normalization constant, as the operator is.
     """
     if (grid.a, grid.b) != (0.0, 1.0):
@@ -54,7 +54,8 @@ def example1_f(params: SchemeParams, grid: Grid) -> np.ndarray:
     x = grid.interior
     u = example1_exact(x)
     up = 2.0 * x - 3.0 * x * x
-    tails = tail_profile(x, params) + tail_profile(1.0 - x, params)
+    T = tail_profile(x, params)
+    tails = T + T[::-1]
 
     if not params.is_log_case:
         # int_0^1 g(t) t^{1-beta} dt = sum wL g(tL); rescaled by d for int_0^d.

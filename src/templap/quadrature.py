@@ -12,9 +12,13 @@ from .core import gamma_fn
 
 # Point counts.  The smooth exponential-kernel integrals reach machine
 # precision well below 64 points.  Geometrically graded panels get
-# PANEL_POINTS Gauss-Legendre points each.
+# PANEL_POINTS Gauss-Legendre points each: every panel [lo, hi] in distance
+# from the kernel's singularity has hi <= 2 lo, so the Bernstein ellipse has
+# rho >= 3 + 2 sqrt(2) and the error is O(rho^(-2n)), 3e-25 at n = 16.  Against
+# 64 points the exterior loads read 5.9e-15 relative at 12 points, 2.8e-15 at
+# 16 and 1.6e-15 at 32.
 GAUSS_JACOBI_POINTS = 64
-PANEL_POINTS = 32
+PANEL_POINTS = 16
 
 # Bytes per grid buffer of ``row_block_quadrature``: 512 rows of 64 points.
 # The buffers are allocated once per sweep, not once per block, so they need

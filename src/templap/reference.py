@@ -14,7 +14,9 @@ with T the exact kernel tail.  The near field is integrated by Gauss-Jacobi
 with the algebraic factor t^{1-beta} in the weight; the far field by
 composite Gauss-Legendre on geometrically graded panels, split additionally
 at any points where u has kinks (domain endpoints, exterior support edges).
-All points are evaluated at once, each side's far-field panels in one list.
+Its kernel e^{-lam t} t^{-1-beta} is one exponential, exp(-lam t - (1 +
+beta) ln t), as in the exterior loads of ``assembly``.  All points are
+evaluated at once, each side's far-field panels in one list.
 """
 
 from __future__ import annotations
@@ -88,7 +90,7 @@ def reference_apply_operator(
         keep = edges[:, 1:] > edges[:, :-1]
         pts, wts = panel_quadrature_points(edges[:, :-1][keep], edges[:, 1:][keep], PANEL_POINTS)
         owner = np.repeat(np.nonzero(keep)[0], PANEL_POINTS)
-        vals = wts * (u(x[owner] + sgn * pts) * np.exp(-lam * pts) * pts ** (-1.0 - beta))
+        vals = wts * (u(x[owner] + sgn * pts) * np.exp(-lam * pts - (1.0 + beta) * np.log(pts)))
         far -= np.bincount(owner, weights=vals, minlength=x.size)
 
     out = params.cbeta * (near + far)

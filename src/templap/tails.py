@@ -16,22 +16,16 @@ on the parameters:
   ``expint``.  The Gauss-Jacobi form sums terms of size lam^beta that cancel
   and cannot resolve e^{-lam t} once lam d is in the hundreds.
 
-A problem-1 level needs the same two profiles twice: once for the
-manufactured source and once for the diagonal.  ``tail_profile`` keeps its
-most recent result and returns it when the call matches it.
-The key is everything the value depends on: the parameters, the
-Gauss-Jacobi point count, and the distances (a copy, so a caller that
-later changes its distances array misses).  A call whose distances are the
-kept call's distances reversed gets the kept result reversed.  That is
-the value a new sweep would return, bit for bit: every
-entry of T is computed from its own distance alone, by numpy's vectorized
-functions on contiguous data and by row sums that do not depend on a row's
-position (see ``row_block_quadrature``).  On a grid whose h is a power of
-two, b - x is exactly x - a reversed, so such a grid sweeps once per
-level.  Returned arrays are read-only (a reversed one is a read-only view),
-so no caller can change a kept result.  The memo is a tuple rebound in one
-step, so concurrent callers can at worst compute a profile twice, never
-see a wrong one.
+A problem-1 level needs the same profile twice: once for the manufactured
+source and once for the diagonal.  Both take the right endpoint's tails as
+the left endpoint's reversed, since b - x_i = x_{M+1-i} - a on a uniform
+grid, so one sweep serves a level.  ``tail_profile`` keeps its most recent
+result and returns it when the call matches it.  The key is everything the
+value depends on: the parameters, the Gauss-Jacobi point count, and the
+distances (a copy, so a caller that later changes its distances array
+misses).  Returned arrays are read-only, so no caller can change a kept
+result.  The memo is a tuple rebound in one step, so concurrent callers can
+at worst compute a profile twice, never see a wrong one.
 """
 
 from __future__ import annotations
@@ -59,11 +53,8 @@ def tail_profile(distances, params: SchemeParams) -> np.ndarray:
         raise ValueError("tail integrals require positive distances")
     key = (params, GAUSS_JACOBI_POINTS)
     for k, kept, T in _recent:
-        if k == key and kept.shape == d.shape:
-            if np.array_equal(kept, d):
-                return T
-            if np.array_equal(kept, np.flip(d)):
-                return np.flip(T)
+        if k == key and np.array_equal(kept, d):
+            return T
     T = _evaluate(d, params)
     T.flags.writeable = False
     _recent = ((key, d.copy(), T),)

@@ -31,5 +31,6 @@ class SymToeplitz:
         if v.shape != (self.M,):
             raise ValueError(f"length mismatch: matrix is {self.M}, vector is {v.shape}")
         L = self._embed_len
+        # From 256 KiB (J >= 14) numpy elides the temporary, so this rounds as rfft * spectrum.
         out = np.fft.irfft(self.spectrum * np.fft.rfft(v, n=L), n=L)
         return out[:self.M]

@@ -184,9 +184,9 @@ class TestBoundaryLoads:
         p = SchemeParams(beta=1.5, lam=3.0, s=1, s1=1)
         grid = Grid(0.0, 1.0, 63)
         boundary = BoundarySpec(exterior_g=example2_exterior, support=(-0.5, 1.5))
-        assert assembly.PANEL_POINTS == 32
+        assert assembly.PANEL_POINTS == 16
         coarse = _exterior_load_profile(boundary, p, grid, "left")
-        monkeypatch.setattr(assembly, "PANEL_POINTS", 64)
+        monkeypatch.setattr(assembly, "PANEL_POINTS", 32)
         fine = _exterior_load_profile(boundary, p, grid, "left")
         np.testing.assert_allclose(coarse, fine, rtol=1e-12)
 

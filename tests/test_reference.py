@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import templap.reference
 from templap import (
     Grid,
     SchemeParams,
@@ -11,7 +12,8 @@ from templap import (
     reference_apply_operator,
     tail_profile,
 )
-from templap.problems import EXAMPLE2_SUPPORT, example2_extension, example2_second_difference
+from templap.problems import (EXAMPLE2_SUPPORT, example2_extension, example2_second_difference,
+                              example2_setup)
 
 
 def extended_cubic(y):
@@ -100,3 +102,18 @@ def test_batched_points_equal_pointwise_calls(beta, lam, s, s1, route):
     assert batched.shape == BATCH_POINTS.shape
     assert np.all(pointwise != 0.0)
     np.testing.assert_allclose(batched, pointwise, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("M", [16, 256, 1024])
+@pytest.mark.parametrize("lam", [0.0, 0.5, 3.0, 30.0])
+@pytest.mark.parametrize("beta", [0.05, 0.5, 1.0, 1.5, 1.95])
+def test_panel_doubling_self_check(monkeypatch, beta, lam, M):
+    # Problem 2's source: twice the far-field points per graded panel moves
+    # no value by more than rounding.
+    p = SchemeParams(beta=beta, lam=lam, s=1, s1=1)
+    grid = Grid(0.0, 1.0, M)
+    assert templap.reference.PANEL_POINTS == 16
+    coarse = example2_setup(p, grid)[0]
+    monkeypatch.setattr(templap.reference, "PANEL_POINTS", 32)
+    fine = example2_setup(p, grid)[0]
+    assert np.max(np.abs(coarse - fine)) <= 1e-14 * np.max(np.abs(fine))

@@ -44,20 +44,43 @@ def test_a_level_without_a_golden_value_has_no_share():
 
 
 def test_summary_gives_each_gated_group_its_worst_share():
-    shares = [("a J=12", same_numbers.gate_shares(
-                  moved(12, l2_err=2.0e-6 * (1 + 0.3e-4), iterations=31), GOLDEN, TOLERANCES)),
-              ("a J=13", same_numbers.gate_shares(
-                  moved(13, linf_err=2.0e-6 * (1 - 0.7e-4), l2_rate=1.0 + 0.2e-3),
-                  GOLDEN, TOLERANCES)),
-              ("b J=14", None)]  # no golden value: in no group and not counted
-    lines = same_numbers.summary(shares)
+    def shares(level):
+        return same_numbers.gate_shares(level, GOLDEN, TOLERANCES)
+
+    moved_levels = [("a J=12", shares(moved(12, l2_err=2.0e-6 * (1 + 0.3e-4), iterations=31)),
+                     shares(moved(12))),
+                    ("a J=13", shares(moved(13, linf_err=2.0e-6 * (1 - 0.7e-4),
+                                            l2_rate=1.0 + 0.2e-3)), shares(moved(13))),
+                    ("b J=14", None, None)]  # no golden value: in no group and not counted
+    lines = same_numbers.summary(moved_levels)
     assert lines == ["worst errors share 0.700 at a J=13 (linf_err)",
                      "worst rates share 0.200 at a J=13 (l2_rate)",
                      "worst iterations share 1.000 at a J=12 (iterations)",
-                     "1 differing levels at share >= 1"]
+                     "1 differing levels reached share >= 1 under the change, "
+                     "0 more were at share >= 1 at the parent"]
+
+
+def test_summary_counts_a_level_already_at_the_limit_apart():
+    # Golden 30 iterations: a parent at 31 already uses the whole tolerance,
+    # so a change that moves only that level's errors, or keeps it at 31,
+    # reaches nothing; one that takes it to 32, or moves another field past
+    # 1, does.
+    def shares(level):
+        return same_numbers.gate_shares(level, GOLDEN, TOLERANCES)
+
+    at_limit = shares(moved(12, iterations=31))
+    lines = same_numbers.summary([
+        ("held", shares(moved(12, iterations=31, l2_err=2.0e-6 * (1 + 0.3e-4))), at_limit),
+        ("further", shares(moved(12, iterations=32)), at_limit),
+        ("other field", shares(moved(12, iterations=31, l2_rate=1.0)), at_limit),
+        ("back", shares(moved(12, iterations=30)), at_limit),
+    ])
+    assert lines[-1] == ("2 differing levels reached share >= 1 under the change, "
+                         "1 more were at share >= 1 at the parent")
 
 
 def test_summary_of_no_differing_level():
     assert same_numbers.summary([]) == ["worst errors share none", "worst rates share none",
                                         "worst iterations share none",
-                                        "0 differing levels at share >= 1"]
+                                        "0 differing levels reached share >= 1 under the change, "
+                                        "0 more were at share >= 1 at the parent"]

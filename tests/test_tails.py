@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from templap import (Grid, SchemeParams, assemble_operator, example1_f, materialize_dense,
-                     pcg_solve, quadrature, tail_profile, tails)
+from templap import (ExperimentConfig, Grid, SchemeParams, assemble_operator, example1_f,
+                     materialize_dense, pcg_solve, quadrature, run_convergence_study,
+                     tail_profile, tails)
 from templap.quadrature import jacobi_gauss_rule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -217,35 +218,33 @@ class TestStructure:
                                                           beta, lam):
         # Each row's Gauss-Jacobi sum depends only on that row, not on where
         # the sweep puts it, so a fresh sweep over reversed distances is the
-        # reversed profile bit for bit, and the memo may answer it that way.
+        # reversed profile bit for bit.
         p = params_for(beta, lam)
         d = Grid(*interval, M).interior - interval[0]
         monkeypatch.setattr(tails, "_recent", ())
         T = tail_profile(d, p)
         monkeypatch.setattr(tails, "_recent", ())
-        np.testing.assert_array_equal(tail_profile(d[::-1], p), T[::-1])  # a fresh sweep
-        mirrored = tail_profile(d, p)  # answered from the kept reversed sweep
-        assert not mirrored.flags.writeable
-        np.testing.assert_array_equal(mirrored, T)
+        np.testing.assert_array_equal(tail_profile(d[::-1], p), T[::-1])
 
-    def test_a_mirrored_call_reuses_the_kept_sweep(self, monkeypatch):
-        p = params_for(0.6, 2.5)
-        d = Grid(0.0, 1.0, 63).interior
-        sweeps = []
+    def test_a_problem_2_level_sweeps_twice(self, monkeypatch):
+        # One sweep for the reference operator's half grid, one for the
+        # operator's diagonal, whose right tails are its left tails reversed;
+        # at beta = 1 each sweep is one exponential integral.
+        sweeps, expints = [], []
 
-        def counting(*args):
-            sweeps.append(args)
-            return evaluate(*args)
+        def counting(calls, fn):
+            def wrapped(*args):
+                calls.append(args)
+                return fn(*args)
+            return wrapped
 
-        evaluate = tails._evaluate
         monkeypatch.setattr(tails, "_recent", ())
-        monkeypatch.setattr(tails, "_evaluate", counting)
-        T = tail_profile(d, p)
-        R = tail_profile(1.0 - d, p)
-        assert len(sweeps) == 1 and not R.flags.writeable
-        np.testing.assert_array_equal(R, T[::-1])
-        tail_profile(np.sort(d ** 2), p)  # neither kept distances nor their mirror
-        assert len(sweeps) == 2
+        monkeypatch.setattr(tails, "_evaluate", counting(sweeps, tails._evaluate))
+        monkeypatch.setattr(tails, "expint", counting(expints, tails.expint))
+        levels = (5, 6, 7)
+        run_convergence_study(ExperimentConfig(example=2, params=params_for(1.0, 3.0),
+                                               levels=levels))
+        assert len(sweeps) == len(expints) == 2 * len(levels)
 
     def test_scipy_loads_only_where_needed(self):
         # Gauss-Jacobi rules and exponential integrals need numpy only, so

@@ -12,10 +12,13 @@ the largest share of the golden gate's tolerance that the change uses, over
 every field the gate checks: |err - golden| / (ERR_RTOL |golden|) for both
 errors, |rate - golden| / RATE_ATOL for both rates and |iterations -
 golden| / ITER_ATOL, with ``golden.json`` and the three tolerances read
-from the change checkout (a share of 1 is the benchmark gate's limit).  The
-summary gives, over the differing levels, the worst share of each gated
-group (errors, rates, iterations) with its level and field, and the number
-of levels at a share of 1 or more.  Exits 1 on any difference, 0 when every
+from the change checkout (a share of 1 is the benchmark gate's limit), and
+the parent's share of that field beside it.  The summary gives, over the
+differing levels, the worst share of each gated group (errors, rates,
+iterations) with its level and field, and the number of levels that reached
+a share of 1 or more under the change: some field at 1 or more and above
+the parent's share of it.  Levels that sat at 1 or more at the parent and
+got no further are counted apart.  Exits 1 on any difference, 0 when every
 level is equal.  Standard library only.
 """
 
@@ -112,20 +115,29 @@ def gate_share(level: dict, golden: list | None, tolerances: dict) -> tuple[floa
 
 
 def summary(differing: list) -> list[str]:
-    """Summary lines for the differing levels, given as (label, gate_shares) pairs.
+    """Summary lines for the differing levels, as (label, gate_shares, parent's) triples.
 
     One line per gated group with its worst share, the level and the field,
-    then the number of levels whose largest share is 1 or more.
+    then the number of levels that reached a share of 1 or more under the
+    change (some field at 1 or more and above the parent's share of it), and
+    the number of other levels at 1 or more, which the parent shares.
     """
     lines = []
     for group, fields in GROUPS.items():
-        worst = max(((shares[f], label, f) for label, shares in differing
+        worst = max(((shares[f], label, f) for label, shares, _ in differing
                      if shares is not None for f in fields), default=None)
         lines.append(f"worst {group} share " + ("none" if worst is None else
                      f"{worst[0]:.3f} at {worst[1]} ({worst[2]})"))
-    at_limit = sum(shares is not None and max(shares.values()) >= 1.0
-                   for _, shares in differing)
-    lines.append(f"{at_limit} differing levels at share >= 1")
+    reached = held = 0
+    for _, shares, before in differing:
+        if shares is None or max(shares.values()) < 1.0:
+            continue
+        if any(v >= 1.0 and v > before[f] for f, v in shares.items()):
+            reached += 1
+        else:
+            held += 1
+    lines.append(f"{reached} differing levels reached share >= 1 under the change, "
+                 f"{held} more were at share >= 1 at the parent")
     return lines
 
 
@@ -140,7 +152,7 @@ def main(argv=None) -> int:
     changed = run_all(args.change.resolve())
     change, golden, tolerances = changed["results"], changed["golden"], changed["tolerances"]
     studies = levels = differing = 0
-    moved = []  # (label, gate shares) of each differing level
+    moved = []  # (label, gate shares, parent's gate shares) of each differing level
     for workload in sorted(parent.keys() | change.keys()):
         par, chg = parent.get(workload, {}), change.get(workload, {})
         for sid in sorted(par.keys() | chg.keys()):
@@ -157,11 +169,13 @@ def main(argv=None) -> int:
                 levels += 1
                 if p != c:
                     differing += 1
+                    before = gate_shares(p, golden.get(sid), tolerances)
                     moved.append((f"{sid} J={p['J']}",
-                                  gate_shares(c, golden.get(sid), tolerances)))
+                                  gate_shares(c, golden.get(sid), tolerances), before))
                     share, field = gate_share(c, golden.get(sid), tolerances)
                     print(f"{workload} {sid} J={p['J']}: largest relative difference "
-                          f"{largest_rel_diff(p, c):.3e}, gate share {share:.3f} ({field})")
+                          f"{largest_rel_diff(p, c):.3e}, gate share {share:.3f} ({field}), "
+                          f"parent {before[field] if before else math.nan:.3f}")
     print(f"{studies} studies, {levels} levels compared, {differing} differ")
     print("\n".join(summary(moved)))
     return 1 if differing else 0
