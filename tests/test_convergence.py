@@ -22,7 +22,6 @@ from templap import (
 )
 from templap import problems, tails
 from templap.convergence import LevelResult, restrict_to_coarse
-from templap.quadrature import jacobi_gauss_rule
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -168,19 +167,21 @@ class TestStudyRunner:
 
     def test_problem1_evaluates_each_tail_once_per_level(self, monkeypatch):
         # The source and the diagonal need the same two tail profiles,
-        # T(x) and T(1 - x).  With h a power of two, 1 - x is x reversed, so
-        # one Gauss-Jacobi sum per level serves all four calls.
-        rules = []
+        # T(x) and T(1 - x).  On the uniform grid 1 - x is x reversed, so
+        # one tail sweep per level serves all four.
+        sweeps = []
+        real = tails._evaluate
 
-        def counting_rule(*args):
-            rules.append(args)
-            return jacobi_gauss_rule(*args)
+        def counting(*args):
+            sweeps.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(tails, "jacobi_gauss_rule", counting_rule)
+        monkeypatch.setattr(tails, "_recent", ())
+        monkeypatch.setattr(tails, "_evaluate", counting)
         cfg = ExperimentConfig(example=1, params=SchemeParams(beta=0.65, lam=1.3, s=0, s1=0),
                                levels=(5, 6, 7))
         run_convergence_study(cfg)
-        assert len(rules) == len(cfg.levels)
+        assert len(sweeps) == len(cfg.levels)
 
     def test_problem1_unit_order_takes_one_special_function_sweep_per_level(self, monkeypatch):
         # beta = 1: the tail is E_2(lam d) / d and the source needs E_1 at x

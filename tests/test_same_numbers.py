@@ -84,3 +84,17 @@ def test_summary_of_no_differing_level():
                                         "worst iterations share none",
                                         "0 differing levels reached share >= 1 under the change, "
                                         "0 more were at share >= 1 at the parent"]
+
+
+def test_each_workload_totals_its_pcg_iterations():
+    # perfbench's pcg_iters: the iterations of every level of every study.
+    parent = {"w1": {"a": [{"iterations": 30}, {"iterations": 31}], "b": [{"iterations": 39}]},
+              "w2": {"c": [{"iterations": 5}]}}
+    change = {"w1": {"a": [{"iterations": 30}, {"iterations": 30}], "b": [{"iterations": 39}]},
+              "w3": {"d": [{"iterations": 7}]}}
+    assert same_numbers.pcg_iters(parent) == {"w1": 100, "w2": 5}
+    assert same_numbers.iteration_lines(parent, change) == [
+        "w1 pcg_iters: parent 100, change 99 (-1.00%)",
+        "w2 pcg_iters: parent 5, change None",
+        "w3 pcg_iters: parent None, change 7",
+    ]

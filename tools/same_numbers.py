@@ -18,7 +18,9 @@ differing levels, the worst share of each gated group (errors, rates,
 iterations) with its level and field, and the number of levels that reached
 a share of 1 or more under the change: some field at 1 or more and above
 the parent's share of it.  Levels that sat at 1 or more at the parent and
-got no further are counted apart.  Exits 1 on any difference, 0 when every
+got no further are counted apart.  Last come each workload's total PCG
+iterations over its studies, for the parent and the change: the
+benchmark's ``pcg_iters`` metric.  Exits 1 on any difference, 0 when every
 level is equal.  Standard library only.
 """
 
@@ -141,6 +143,23 @@ def summary(differing: list) -> list[str]:
     return lines
 
 
+def pcg_iters(results: dict) -> dict:
+    """Each workload's PCG iterations summed over its studies' levels."""
+    return {workload: sum(level["iterations"] for levels in by_study.values() for level in levels)
+            for workload, by_study in results.items()}
+
+
+def iteration_lines(parent: dict, change: dict) -> list[str]:
+    """One line per workload: total PCG iterations at the parent and the change."""
+    before, after = pcg_iters(parent), pcg_iters(change)
+    lines = []
+    for workload in sorted(before.keys() | after.keys()):
+        b, a = before.get(workload), after.get(workload)
+        moved = f" ({(a - b) / b:+.2%})" if b and a is not None else ""
+        lines.append(f"{workload} pcg_iters: parent {b}, change {a}{moved}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -177,7 +196,7 @@ def main(argv=None) -> int:
                           f"{largest_rel_diff(p, c):.3e}, gate share {share:.3f} ({field}), "
                           f"parent {before[field] if before else math.nan:.3f}")
     print(f"{studies} studies, {levels} levels compared, {differing} differ")
-    print("\n".join(summary(moved)))
+    print("\n".join(summary(moved) + iteration_lines(parent, change)))
     return 1 if differing else 0
 
 
