@@ -39,7 +39,7 @@ print(np.array2string(op.diag, precision=4))
 print("\nToeplitz column, lags 1..6 (all negative, decaying like m^-(1+beta)):")
 print(np.array2string(op.toeplitz_col[1:7], precision=6))
 
-surplus = op.diag + offdiag_row_sums(op.toeplitz_col) - (op.tails_left + op.tails_right)
+surplus = op.diag + offdiag_row_sums(op.toeplitz_col) - op.tails
 print(f"\nrow sums minus kernel tails (strict dominance margin): "
       f"min = {surplus.min():.6f} > 0")
 

@@ -20,7 +20,7 @@ concurrent callers sharing the results see identical values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -46,15 +46,14 @@ class OperatorMatrix:
     """Stiffness matrix in diagonal + symmetric-Toeplitz form.
 
     ``toeplitz_col[m]`` is the entry at lag m >= 1 (slot 0 is unused and
-    zero); ``diag`` holds the diagonal.  ``tails_left``/``tails_right``
-    cache the kernel tail integrals per row, in the same units as the
+    zero); ``diag`` holds the diagonal.  ``tails`` holds each row's kernel
+    tail integrals over both exterior half-lines, in the same units as the
     operator (i.e. scaled by the normalization constant).
     """
 
     diag: np.ndarray
     toeplitz_col: np.ndarray
-    tails_left: np.ndarray
-    tails_right: np.ndarray
+    tails: np.ndarray
     params: SchemeParams
     grid: Grid
 
@@ -144,28 +143,38 @@ def _boundary_lift_weights(params: SchemeParams, grid: Grid):
 
 
 def assemble_diagonal(params: SchemeParams, grid: Grid, toeplitz_col: np.ndarray,
-                      tails_left: np.ndarray, tails_right: np.ndarray) -> np.ndarray:
+                      tails: np.ndarray) -> np.ndarray:
     """Diagonal from the row-sum identity.
 
     h_{i,i} = tails(i) - (off-diagonal row sum) + (boundary lift weights),
     with all inputs in operator units (scaled by the normalization constant).
     """
     left, right = _boundary_lift_weights(params, grid)
-    return (tails_left + tails_right - offdiag_row_sums(toeplitz_col)
+    return (tails - offdiag_row_sums(toeplitz_col)
             + params.cbeta * (left + right))
+
+
+@lru_cache(maxsize=1)
+def level_tails(params: SchemeParams, grid: Grid) -> np.ndarray:
+    """Unscaled tails T(x_i - a) of a level, read-only; the latest level's is kept.
+
+    The problem-1 source and the diagonal share it, and take the right-hand
+    tails as these reversed: b - x_i = x_{M+1-i} - a on the uniform grid.
+    """
+    T = tail_profile(grid.interior - grid.a, params)
+    T.flags.writeable = False
+    return T
 
 
 def assemble_operator(params: SchemeParams, grid: Grid) -> OperatorMatrix:
     """Build the full operator: off-diagonal column, tails, diagonal."""
     t = assemble_offdiagonal(params, grid)
-    x = grid.interior
-    B1 = params.cbeta * tail_profile(x - grid.a, params)
-    B2 = B1[::-1]  # b - x_i = x_{M+1-i} - a on the uniform grid
-    diag = assemble_diagonal(params, grid, t, B1, B2)
-    for arr in (t, B1, B2, diag):
+    B1 = params.cbeta * level_tails(params, grid)
+    tails = B1 + B1[::-1]
+    diag = assemble_diagonal(params, grid, t, tails)
+    for arr in (t, tails, diag):
         arr.flags.writeable = False
-    return OperatorMatrix(diag=diag, toeplitz_col=t, tails_left=B1, tails_right=B2,
-                          params=params, grid=grid)
+    return OperatorMatrix(diag=diag, toeplitz_col=t, tails=tails, params=params, grid=grid)
 
 
 def _exterior_load_profile(boundary: BoundarySpec, params: SchemeParams, grid: Grid,

@@ -138,6 +138,8 @@ class Grid:
     def __post_init__(self):
         if not self.b > self.a:
             raise ValueError(f"need b > a, got ({self.a}, {self.b})")
+        if not math.isfinite(self.b - self.a):
+            raise ValueError(f"need a finite interval, got ({self.a}, {self.b})")
         if self.M < 3:
             raise ValueError(f"need at least 3 interior nodes, got M = {self.M}")
 

@@ -20,11 +20,11 @@ import math
 
 import numpy as np
 
-from .assembly import BoundarySpec
+from .assembly import BoundarySpec, level_tails
 from .core import Grid, SchemeParams, gamma_fn
 from .quadrature import GAUSS_JACOBI_POINTS, jacobi_gauss_rule, row_block_quadrature
 from .reference import reference_apply_operator
-from .tails import expint, tail_profile
+from .tails import expint, tail_profile  # noqa: F401  (a call site the benchmark tracer wraps)
 
 EXAMPLE2_SUPPORT = (-0.5, 1.5)
 
@@ -40,7 +40,7 @@ def example1_f(params: SchemeParams, grid: Grid) -> np.ndarray:
     terms plus two incomplete integrals of linear polynomials against
     e^{-lam t} t^{1-beta}; for beta = 1 the kernel powers collapse to
     elementary integrals plus a difference of exponential integral tails.
-    The tails are the ones the operator's diagonal reuses (see tails.py).
+    The tails are the level's ``level_tails``, which the diagonal reuses.
     Every term, the tails included, is evaluated once on the distances x
     to the left endpoint and reversed for the distances 1 - x to the right
     one: both incomplete integrals share one e^{-lam t} grid per row block,
@@ -54,7 +54,7 @@ def example1_f(params: SchemeParams, grid: Grid) -> np.ndarray:
     x = grid.interior
     u = example1_exact(x)
     up = 2.0 * x - 3.0 * x * x
-    T = tail_profile(x, params)
+    T = level_tails(params, grid)
     tails = T + T[::-1]
 
     if not params.is_log_case:

@@ -92,8 +92,7 @@ def row_block_quadrature(integrand, shape: tuple[int, ...], weights: np.ndarray)
     dgemv sums every full group of 4 rows alike but the last ``n % 4`` rows
     of a product in another order, so without padding a row's sum would
     depend on where the sweep ends.  With it, a row's sum depends only on
-    its own grid values, whatever the block size: a sweep over reversed
-    distances returns the reversed sums, bit for bit.
+    its own grid values, whatever the block size.
     """
     *lead, rows = shape
     points = weights.size

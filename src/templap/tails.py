@@ -12,16 +12,9 @@ gives one formula for every order:
   integral from ``expint``: within 4e-14 relative at every lam d, and
   4e-12 within 0.01 of beta = 1, where its power series cancels.
 
-A problem-1 level needs the same profile twice: once for the manufactured
-source and once for the diagonal.  Both take the right endpoint's tails as
-the left endpoint's reversed, since b - x_i = x_{M+1-i} - a on a uniform
-grid, so one sweep serves a level.  ``tail_profile`` keeps its most recent
-result and returns it when the call matches it.  The key is everything the
-value depends on: the parameters and the distances (a copy, so a caller
-that later changes its distances array misses).  Returned arrays are
-read-only, so no caller can change a kept result.  The memo is a tuple
-rebound in one step, so concurrent callers can at worst compute a profile
-twice, never see a wrong one.
+``tail_profile`` is pure: each call sweeps its distances.  A level shares
+one sweep between its problem-1 source and its diagonal through
+``assembly.level_tails``.
 """
 
 from __future__ import annotations
@@ -33,26 +26,16 @@ import numpy as np
 
 from .core import SchemeParams
 
-# ((params, distances, read-only T),) of the latest sweep, or ()
-_recent: tuple = ()
-
 _E_AT_1 = {1: 0.21938393439552029, 2: 0.14849550677592205}  # E_1(1), E_2(1)
 
 
 def tail_profile(distances, params: SchemeParams) -> np.ndarray:
-    """T(d) for an array of positive distances (unnormalized), read-only."""
-    global _recent
+    """T(d) for an array of positive distances (unnormalized)."""
     # Contiguous, so that numpy's vectorized exp and pow round every entry alike.
     d = np.atleast_1d(np.ascontiguousarray(distances, dtype=float))
-    if np.any(d <= 0.0):
+    if not np.all(d > 0.0):
         raise ValueError("tail integrals require positive distances")
-    for kept_params, kept, T in _recent:
-        if kept_params == params and np.array_equal(kept, d):
-            return T
-    T = _evaluate(d, params)
-    T.flags.writeable = False
-    _recent = ((params, d.copy(), T),)
-    return T
+    return _evaluate(d, params)
 
 
 def expint(p, x) -> np.ndarray:

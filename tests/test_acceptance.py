@@ -410,10 +410,10 @@ def test_criterion_7_structural_properties():
             assert np.all(op.toeplitz_col[1:] < 0.0)
             assert np.all(op.diag > 0.0)
             row_sums = offdiag_row_sums(op.toeplitz_col)
-            surplus = op.diag + row_sums - (op.tails_left + op.tails_right)
+            surplus = op.diag + row_sums - op.tails
             assert np.all(surplus > 0.0)
             floors = op.diag + row_sums
-            assert np.all(floors > np.min(op.tails_left + op.tails_right))
+            assert np.all(floors > np.min(op.tails))
         lmaxs, hs = [], []
         for M in (127, 255, 511, 1023):
             grid = Grid(0.0, 1.0, M)

@@ -41,7 +41,7 @@ class TestMatrixStructure:
         op = assemble_operator(p, grid)
         assert np.all(op.toeplitz_col[1:] < 0.0)
         assert np.all(op.diag > 0.0)
-        surplus = op.diag + offdiag_row_sums(op.toeplitz_col) - (op.tails_left + op.tails_right)
+        surplus = op.diag + offdiag_row_sums(op.toeplitz_col) - op.tails
         assert np.all(surplus > 0.0)
 
     def test_diagonal_palindrome(self):
@@ -65,7 +65,7 @@ class TestMatrixStructure:
         for p in sample_params():
             op = assemble_operator(p, grid)
             floors = op.diag + offdiag_row_sums(op.toeplitz_col)
-            assert np.all(floors > np.min(op.tails_left + op.tails_right))
+            assert np.all(floors > np.min(op.tails))
 
     @pytest.mark.parametrize("beta,lam", [(0.5, 0.5), (1.5, 3.0)])
     def test_eigenvalue_scaling_across_levels(self, beta, lam):

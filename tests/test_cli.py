@@ -55,6 +55,13 @@ def test_nonfinite_lambda_is_usage_error(lam, capsys):
     assert "lam must be finite" in capsys.readouterr().err
 
 
+def test_infinite_radius_is_usage_error(capsys):
+    code = main(["--example", "3", "--beta", "0.5", "--scheme", "0,0",
+                 "--levels", "3..4", "--radius", "inf"])
+    assert code == 1
+    assert "need a finite interval" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--tol=0", "--tol=-1", "--tol=nan", "--tol=inf",
                                   "--max-iter=0", "--max-iter=-3"])
 def test_unusable_stopping_rule_is_usage_error(flag, capsys):

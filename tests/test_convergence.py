@@ -20,7 +20,7 @@ from templap import (
     format_report,
     run_convergence_study,
 )
-from templap import problems, tails
+from templap import assembly, problems, tails
 from templap.convergence import LevelResult, restrict_to_coarse
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -176,7 +176,7 @@ class TestStudyRunner:
             sweeps.append(args)
             return real(*args)
 
-        monkeypatch.setattr(tails, "_recent", ())
+        assembly.level_tails.cache_clear()
         monkeypatch.setattr(tails, "_evaluate", counting)
         cfg = ExperimentConfig(example=1, params=SchemeParams(beta=0.65, lam=1.3, s=0, s1=0),
                                levels=(5, 6, 7))

@@ -144,8 +144,7 @@ class TestCirculant:
         col[1] = -5.0  # dominates the tiny averaged diagonal: indefinite circulant
         zeros = np.zeros(8)
         doctored = OperatorMatrix(diag=np.full(8, 0.1), toeplitz_col=col,
-                                  tails_left=zeros, tails_right=zeros,
-                                  params=params, grid=grid)
+                                  tails=zeros, params=params, grid=grid)
         with pytest.raises(ValueError, match="index"):
             build_tchan_precond(doctored)
 
@@ -238,8 +237,8 @@ class TestBandedCholesky:
     @staticmethod
     def sick_op(diag, col):
         zeros = np.zeros(diag.size)
-        return OperatorMatrix(diag=diag, toeplitz_col=col, tails_left=zeros,
-                              tails_right=zeros, params=SchemeParams(beta=0.5, s=0, s1=0),
+        return OperatorMatrix(diag=diag, toeplitz_col=col, tails=zeros,
+                              params=SchemeParams(beta=0.5, s=0, s1=0),
                               grid=Grid(0.0, 1.0, diag.size))
 
     def test_nonpositive_pivot_raises(self, route):

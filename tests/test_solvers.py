@@ -23,8 +23,8 @@ def diagonal_operator(diag):
     grid = Grid(0.0, 1.0, M)
     params = SchemeParams(beta=0.5, s=0, s1=0)
     zeros = np.zeros(M)
-    return OperatorMatrix(diag=diag, toeplitz_col=zeros.copy(), tails_left=zeros,
-                          tails_right=zeros, params=params, grid=grid)
+    return OperatorMatrix(diag=diag, toeplitz_col=zeros.copy(), tails=zeros,
+                          params=params, grid=grid)
 
 
 class TestCG:

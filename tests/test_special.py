@@ -25,6 +25,9 @@ class TestGrid:
             Grid(0.0, 0.0, 7)
         with pytest.raises(ValueError):
             Grid(0.0, 1.0, 2)
+        for a, b in ((0.0, math.inf), (-math.inf, 1.0), (-1e308, 1e308)):
+            with pytest.raises(ValueError, match="finite"):
+                Grid(a, b, 7)
 
 
 class TestGamma:

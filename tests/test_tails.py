@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from templap import (ExperimentConfig, Grid, SchemeParams, assemble_operator, example1_f,
-                     materialize_dense, pcg_solve, quadrature, run_convergence_study,
-                     tail_profile, tails)
+from templap import (BoundarySpec, ExperimentConfig, Grid, SchemeParams, assemble_operator,
+                     assembly, example1_f, materialize_dense, pcg_solve, problems, quadrature,
+                     run_convergence_study, tail_profile, tails)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -196,31 +196,59 @@ class TestStructure:
         d[0] = 0.5
         assert tail_profile(d, p)[0] == pytest.approx(tail_at(0.5, p), rel=1e-14)
 
+    def test_each_call_sweeps_and_a_level_keeps_one_profile(self, monkeypatch):
+        # tail_profile keeps nothing between calls; the level cache keeps one
+        # read-only profile per (params, grid).
+        sweeps = []
+        real = tails._evaluate
+
+        def counting(*args):
+            sweeps.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(tails, "_evaluate", counting)
+        p = params_for(0.8, 1.7)
+        d = np.linspace(0.01, 1.0, 50)
+        tail_profile(d, p)
+        tail_profile(d.copy(), p)
+        assert len(sweeps) == 2
+        assembly.level_tails.cache_clear()
+        T = assembly.level_tails(p, Grid(0.0, 1.0, 63))
+        assert assembly.level_tails(p, Grid(0.0, 1.0, 63)) is T
+        assert len(sweeps) == 3
+        assert not T.flags.writeable
+        np.testing.assert_array_equal(T, tail_profile(Grid(0.0, 1.0, 63).interior, p))
+
     @pytest.mark.parametrize("M", [127, 128, 129, 4095])
     @pytest.mark.parametrize("beta, lam, s", [(0.6, 2.5, (0, 0)), (1.4, 0.5, (1, 1))])
     def test_row_blocks_match_one_shot_sums(self, monkeypatch, M, beta, lam, s):
+        # Both callers of row_block_quadrature: the problem-1 source and the
+        # exterior loads on each side.
         p = SchemeParams(beta=beta, lam=lam, s=s[0], s1=s[1])
         grid = Grid(0.0, 1.0, M)
-        blocked = tail_profile(grid.interior, p), example1_f(p, grid)
+        boundary = BoundarySpec(exterior_g=problems.example2_exterior,
+                                support=problems.EXAMPLE2_SUPPORT)
+
+        def sums():
+            return (example1_f(p, grid),
+                    *(assembly._exterior_load_profile(boundary, p, grid, side)
+                      for side in ("left", "right")))
+
+        blocked = sums()
         monkeypatch.setattr(quadrature, "BLOCK_BYTES", 1 << 30)  # one block for all rows
-        monkeypatch.setattr(tails, "_recent", ())
-        one_shot = tail_profile(grid.interior, p), example1_f(p, grid)
-        for got, want in zip(blocked, one_shot):
+        for got, want in zip(blocked, sums()):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("M", [7, 127, 128, 4095])
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 1.0)])
     @pytest.mark.parametrize("beta, lam", [(0.5, 0.0), (1.0, 2.0), (0.6, 2.5), (1.4, 0.5)])
-    def test_mirrored_distances_give_the_reversed_profile(self, monkeypatch, M, interval,
-                                                          beta, lam):
+    def test_mirrored_distances_give_the_reversed_profile(self, M, interval, beta, lam):
         # Each entry's exponential integral depends only on that entry, not on
         # where the sweep puts it, so a fresh sweep over reversed distances is
         # the reversed profile bit for bit.
         p = params_for(beta, lam)
         d = Grid(*interval, M).interior - interval[0]
-        monkeypatch.setattr(tails, "_recent", ())
         T = tail_profile(d, p)
-        monkeypatch.setattr(tails, "_recent", ())
         np.testing.assert_array_equal(tail_profile(d[::-1], p), T[::-1])
 
     def test_a_problem_2_level_sweeps_twice(self, monkeypatch):
@@ -235,7 +263,7 @@ class TestStructure:
                 return fn(*args)
             return wrapped
 
-        monkeypatch.setattr(tails, "_recent", ())
+        assembly.level_tails.cache_clear()
         monkeypatch.setattr(tails, "_evaluate", counting(sweeps, tails._evaluate))
         monkeypatch.setattr(tails, "expint", counting(expints, tails.expint))
         levels = (5, 6, 7)
@@ -309,3 +337,5 @@ class TestStructure:
         p = params_for(0.5, 1.0)
         with pytest.raises(ValueError):
             tail_profile(np.array([0.5, -0.1]), p)
+        with pytest.raises(ValueError):
+            tail_profile(np.array([np.nan, 0.5]), p)
