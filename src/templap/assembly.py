@@ -158,8 +158,9 @@ def assemble_diagonal(params: SchemeParams, grid: Grid, toeplitz_col: np.ndarray
 def level_tails(params: SchemeParams, grid: Grid) -> np.ndarray:
     """Unscaled tails T(x_i - a) of a level, read-only; the latest level's is kept.
 
-    The problem-1 source and the diagonal share it, and take the right-hand
-    tails as these reversed: b - x_i = x_{M+1-i} - a on the uniform grid.
+    The problem-1 and problem-2 sources and the diagonal share it, and take
+    the right-hand tails as these reversed: b - x_i = x_{M+1-i} - a on the
+    uniform grid.
     """
     T = tail_profile(grid.interior - grid.a, params)
     T.flags.writeable = False

@@ -12,6 +12,7 @@ Gamma function ``gamma_fn`` and always multiplies the assembled operator.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -80,6 +81,11 @@ class SchemeParams:
             raise ValueError(f"beta must lie strictly inside (0, 2), got {self.beta}")
         if not 0.0 <= self.lam < math.inf:
             raise ValueError(f"lam must be finite and nonnegative, got {self.lam}")
+        if self.beta < sys.float_info.min or 0.0 < self.lam < sys.float_info.min:
+            # Below the smallest normal float the tails d^{-beta}/beta overflow
+            # and lam d underflows to 0.
+            raise ValueError(f"beta and a nonzero lam must be at least {sys.float_info.min}, "
+                             f"got beta = {self.beta}, lam = {self.lam}")
         pair = (self.s, self.s1)
         allowed = _SELECTORS_LOW if self.beta < 1.0 else _SELECTORS_HIGH
         if pair not in allowed:

@@ -1,8 +1,8 @@
 """Direct high-accuracy application of the tempered fractional Laplacian.
 
-Independent of the finite-difference machinery: used to manufacture source
-terms and to cross-check the discretization.  Like the assembled operator,
-it includes the normalization constant c_beta.  The principal value is
+Independent of the finite-difference machinery and of the closed-form
+sources: a test oracle for both.  Like the assembled operator, it includes
+the normalization constant c_beta.  The principal value is
 removed by pairing y = x - t with y = x + t on the symmetric near field
 |y - x| <= delta (delta = distance from x to the nearer endpoint), where
 the second difference 2u(x) - u(x-t) - u(x+t) is O(t^2):

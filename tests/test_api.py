@@ -52,12 +52,12 @@ def test_tracer_call_sites_exist():
 @pytest.mark.parametrize("example, params, callers", [
     (1, templap.SchemeParams(beta=0.65, lam=1.3), ["problems.source"]),
     (2, templap.SchemeParams(beta=1.0, lam=3.0, s=1, s1=1),
-     ["reference.apply", "assembly.operator"]),
+     ["problems.source", "problems.source"]),
 ])
 def test_traced_tail_sweeps_per_level(example, params, callers):
     # The tracer sees every tail sweep: a problem-1 level sweeps once, in its
-    # source, and the diagonal reuses that sweep; a problem-2 level sweeps in
-    # the reference operator and again in the operator's diagonal.
+    # source, and the diagonal reuses that sweep; a problem-2 level sweeps
+    # twice in its source, at x (which the diagonal reuses) and at x + 1/2.
     tracing = _tracing()
     templap.assembly.level_tails.cache_clear()
     tracer = tracing.Tracer()

@@ -2,9 +2,13 @@
 
 import itertools
 import math
+import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from templap import (
     BoundarySpec,
@@ -23,8 +27,44 @@ from templap import (
 from templap import problems, tail_profile
 from templap.quadrature import GAUSS_JACOBI_POINTS, jacobi_gauss_rule, row_block_quadrature
 from templap.assembly import _exterior_load_profile
-from templap.problems import EXAMPLE2_SUPPORT, example2_extension, example2_second_difference
+from templap.problems import EXAMPLE2_SUPPORT, example2_extension
 from templap.tails import expint
+
+
+def example2_second_difference(x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Exact 2u(x) - u(x-t) - u(x+t) for the interior quartic (x+-t inside)."""
+    u2 = 2.0 - 12.0 * x + 12.0 * x * x
+    return -(u2 + 2.0 * t * t) * t * t
+
+
+def example2_oracle(params, grid):
+    """Problem 2's source from the reference operator on the lower half of the nodes.
+
+    With the exact second difference the reference operator has no rounding
+    floor in its near field; on the upper half its far field reads about
+    1.7e-14 of max|f| worse, and the source there is a mirror image.
+    """
+    x = grid.interior[:(grid.M + 1) // 2]
+    return reference_apply_operator(example2_extension, x, params, 0.0, 1.0,
+                                    support=EXAMPLE2_SUPPORT,
+                                    second_difference=example2_second_difference)
+
+
+def source_gap(params, grid):
+    """max |f - oracle| / max |oracle| over the lower half of the nodes.
+
+    The denominator is at least the smallest normal float: at beta near
+    2.2e-308, c_beta and so f are subnormal, and hold only an absolute error.
+    """
+    want = example2_oracle(params, grid)
+    got = example2_setup(params, grid)[0][:want.size]
+    return np.max(np.abs(got - want)) / max(np.max(np.abs(want)), sys.float_info.min)
+
+
+def quiet_params(beta, lam):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # beta within 1e-6 of 1
+        return SchemeParams(beta=beta, lam=lam, s=1, s1=1)
 
 
 class TestProblem1:
@@ -138,24 +178,28 @@ class TestProblem2:
                 assert f[idx] == pytest.approx(exact_sd, rel=1e-12), (beta, lam, idx)
                 assert f[idx] == pytest.approx(generic, abs=2e-9), (beta, lam, idx)
 
-    def test_source_calls_u_a_fixed_number_of_times(self, monkeypatch):
-        # The source is one batched pass over the lower-half nodes, so u is
-        # evaluated a fixed number of times however many nodes there are; a
-        # per-node loop would scale with M.
-        p = SchemeParams(beta=1.5, lam=3.0, s=1, s1=1)
-        calls = []
+    def test_source_is_closed_form(self, monkeypatch):
+        # The reference operator is the source's oracle, not its path.
+        def refuse(*args, **kwargs):
+            raise AssertionError("problem 2's source called the reference operator")
 
-        def counting_extension(y):
-            calls.append(1)
-            return example2_extension(y)
+        monkeypatch.setattr(problems, "reference_apply_operator", refuse)
+        f, _, _ = example2_setup(SchemeParams(beta=1.5, lam=3.0, s=1, s1=1), Grid(0.0, 1.0, 16))
+        assert np.all(np.isfinite(f))
 
-        monkeypatch.setattr(problems, "example2_extension", counting_extension)
-        counts = {}
-        for M in (16, 256):
-            calls.clear()
-            example2_setup(p, Grid(0.0, 1.0, M))
-            counts[M] = len(calls)
-        assert 0 < counts[16] == counts[256]
+    @pytest.mark.parametrize("M", [16, 256, 1024])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 3.0, 30.0, 300.0])
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.999, 1.0, 1.001, 1.5, 1.95])
+    def test_source_matches_the_oracle(self, beta, lam, M):
+        # Measured worst 4.2e-14, at beta = 1.95, lam = 300, M = 16, where
+        # mpmath puts the oracle's own error at the same size.
+        assert source_gap(quiet_params(beta, lam), Grid(0.0, 1.0, M)) <= 1e-13
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(beta=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True, allow_subnormal=False),
+           lam=st.floats(0.0, 300.0, allow_subnormal=False), M=st.integers(3, 600))
+    def test_source_matches_the_oracle_anywhere(self, beta, lam, M):
+        assert source_gap(quiet_params(beta, lam), Grid(0.0, 1.0, M)) <= 1e-13
 
     def test_exterior_loads_nonnegative(self):
         # Both exterior pieces are nonnegative, so the kernel-weighted loads are too.
@@ -168,6 +212,60 @@ class TestProblem2:
             d1, d2 = left[i - 1], right[i - 1]
             assert d1 >= 0.0 and d2 >= 0.0
             assert d1 + d2 > 0.0
+
+
+class TestKernelMoments:
+    # m_k(d) = lam^{beta-k} gamma(k - beta, lam d), from its series at
+    # lam d <= 2 and from Gamma(k - beta) minus a tail above; E_p from
+    # E_{1+beta} by stepping the order down.
+    @pytest.mark.parametrize("beta", [0.01, 0.5, 0.999, 1.0, 1.5, 1.999])
+    def test_moments_on_both_sides_of_the_switch(self, beta):
+        # lam d from 0.1 to 8; measured worst 3.9e-15.
+        lam = 10.0
+        p = quiet_params(beta, lam)
+        d = np.linspace(0.01, 0.8, 80)
+        got = problems._moments(d, tail_profile(d, p), p)
+        with mpmath.workdps(30):
+            for k, mk in zip((2, 3, 4), got):
+                want = [float(mpmath.mpf(lam) ** (beta - k) * mpmath.gammainc(k - beta, 0, lam * di))
+                        for di in d]
+                np.testing.assert_allclose(mk, want, rtol=8e-15, atol=0.0)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.999, 1.0, 1.001, 1.5, 1.95])
+    def test_lower_orders(self, beta):
+        # Orders beta, beta - 1, beta - 2 and beta - 3, wherever z = lam d > 1;
+        # measured worst 1.5e-15.
+        lam = 3.0
+        p = quiet_params(beta, lam)
+        z = np.geomspace(1.0 + 1e-12, 700.0, 120)
+        d = z / lam
+        got = problems._lower_orders(d, tail_profile(d, p), p, 4)
+        with mpmath.workdps(30):
+            for k, E in enumerate(got):
+                want = [float(mpmath.expint(beta - k, mpmath.mpf(lam * di))) for di in d]
+                np.testing.assert_allclose(E, want, rtol=4e-15, atol=0.0)
+
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.999, 1.0, 1.001, 1.5, 1.95, 1.9999])
+    @pytest.mark.parametrize("lam", [0.0, 1e-8, 0.8, 3.0, 300.0])
+    def test_first_moment_differences(self, beta, lam):
+        # T_1(a) - T_1(b) = int_a^b t^{-beta} e^{-lam t} dt for pairs on either
+        # side of lam d = 1, of the anchor min(1, 1/lam) and of beta = 1 and 2,
+        # against mpmath at the rounded products lam d that the code sees;
+        # measured worst 5.2e-15.
+        p = quiet_params(beta, lam)
+        a = np.geomspace(1e-4, 1.0, 25)
+        b = a + 0.5
+        (va, ca), (vb, cb) = (problems._first_moment(d, tail_profile(d, p), p) for d in (a, b))
+        got = (va - vb) + (ca - cb)
+        B = mpmath.mpf(beta)
+        with mpmath.workdps(30):
+            for ai, bi, gi in zip(a, b, got):
+                if lam == 0.0:
+                    want = mpmath.quad(lambda t: t ** -B, [ai, bi])
+                else:
+                    want = mpmath.mpf(lam) ** (B - 1) * mpmath.gammainc(
+                        1 - B, mpmath.mpf(lam * ai), mpmath.mpf(lam * bi))
+                assert abs(gi - want) <= 1e-14 * abs(want), (ai, gi, want)
 
 
 class TestProblem3:

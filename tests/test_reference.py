@@ -12,8 +12,8 @@ from templap import (
     reference_apply_operator,
     tail_profile,
 )
-from templap.problems import (EXAMPLE2_SUPPORT, example2_extension, example2_second_difference,
-                              example2_setup)
+from templap.problems import EXAMPLE2_SUPPORT, example2_extension
+from test_problems import example2_oracle, example2_second_difference
 
 
 def extended_cubic(y):
@@ -108,12 +108,12 @@ def test_batched_points_equal_pointwise_calls(beta, lam, s, s1, route):
 @pytest.mark.parametrize("lam", [0.0, 0.5, 3.0, 30.0])
 @pytest.mark.parametrize("beta", [0.05, 0.5, 1.0, 1.5, 1.95])
 def test_panel_doubling_self_check(monkeypatch, beta, lam, M):
-    # Problem 2's source: twice the far-field points per graded panel moves
-    # no value by more than rounding.
+    # The oracle for problem 2's source: twice the far-field points per graded
+    # panel moves no value by more than rounding.
     p = SchemeParams(beta=beta, lam=lam, s=1, s1=1)
     grid = Grid(0.0, 1.0, M)
     assert templap.reference.PANEL_POINTS == 16
-    coarse = example2_setup(p, grid)[0]
+    coarse = example2_oracle(p, grid)
     monkeypatch.setattr(templap.reference, "PANEL_POINTS", 32)
-    fine = example2_setup(p, grid)[0]
+    fine = example2_oracle(p, grid)
     assert np.max(np.abs(coarse - fine)) <= 1e-14 * np.max(np.abs(fine))

@@ -1,6 +1,7 @@
 """Grid, Gamma function, normalization constant and parameter validation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -96,6 +97,15 @@ class TestSchemeParams:
         for lam in (-1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 SchemeParams(beta=0.5, lam=lam, s=0, s1=0)
+
+    def test_rejects_subnormal_beta_and_lam(self):
+        # At beta = 5e-324 the tails d^{-beta}/beta are infinite, and at
+        # lam = 5e-324 lam d is 0 for d < 1, where E_p's series takes ln 0.
+        tiny = sys.float_info.min
+        for beta, lam in ((5e-324, 0.0), (tiny / 2, 1.0), (0.5, 5e-324), (1.0, tiny / 2)):
+            with pytest.raises(ValueError, match="at least"):
+                SchemeParams(beta=beta, lam=lam, s=1 if beta >= 1.0 else 0, s1=1 if beta >= 1.0 else 0)
+        assert SchemeParams(beta=tiny, lam=tiny, s=0, s1=0).lam == tiny
 
     def test_normalization_cannot_be_switched_off(self):
         with pytest.raises(TypeError):

@@ -110,10 +110,11 @@ class TestAgainstMpmath:
         # T's relative condition number in lam d is about lam d, so the
         # product's own rounding would otherwise account for up to 1e-12 at
         # lam d = 1e4.  Below lam d = 1 a non-integer order takes the power
-        # series, whose terms Gamma(-beta) x^beta and x/(1 - beta) cancel
-        # near x = 1; measured worst 2.5e-14 at beta = 0.05, 2.8e-12 at
-        # beta = 0.999 and 1.1e-12 at 1.001.
-        series = 4e-12 if abs(beta - 1.0) < 0.01 else 4e-14
+        # series, whose terms Gamma(-beta) x^beta and x/(1 - beta) are summed
+        # as one within 0.1 of beta = 1; measured worst 1.3e-15 at
+        # beta = 0.05, 2.2e-15 at beta = 0.999 and 7.0e-16 at 1.001 (2.8e-12
+        # and 1.1e-12 with the two terms apart).
+        series = 4e-15 if abs(beta - 1.0) < 0.01 else 4e-14
         for lam in (0.5, 3.0, 100.0):
             z = np.geomspace(1e-6, 1e4, 400)
             d = z / lam
@@ -127,19 +128,37 @@ class TestAgainstMpmath:
                         assert abs(gi - want) <= bound * want, (beta, lam, di)
 
     def test_orders_at_x_up_to_one(self):
-        # Non-integer orders take the power series below x = 1 and the
-        # continued fraction above; integer orders other than 1 and 2 have
-        # no series here.
+        # Orders other than 1 and 2 take the power series below x = 1 and the
+        # continued fraction above; integer orders 3 and up group their pole
+        # terms as at e = 0, and orders <= 0 have no pole.
         x = np.concatenate([np.geomspace(1e-8, 1.0, 60), [1.5, 30.0]])
-        for p in (1.05, 1.5, 2.5, 2.95):
+        for p in (1.05, 1.5, 2.5, 2.95, 3, 4.0, 0.0, -1.0, -3.5):
             with mpmath.workdps(30):
                 want = [float(mpmath.expint(mpmath.mpf(p), mpmath.mpf(xi))) for xi in x]
             got = tails.expint(p, x)
             np.testing.assert_allclose(got[:-2], want[:-2], rtol=3e-14, atol=0.0)
-            np.testing.assert_allclose(got[-2:], want[-2:], rtol=1e-15, atol=0.0)
-        for p in (3, 3.0):
-            with pytest.raises(ValueError):
-                tails.expint(p, np.array([0.5, 30.0]))
+            if 1.0 < p < 3.0:
+                np.testing.assert_allclose(got[-2:], want[-2:], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("e", [1e-8, -1e-8, 2e-6, -2e-6, 1e-4, -1e-4, 1e-2, -1e-2, 0.09, -0.09])
+    def test_orders_near_a_pole(self, n, e):
+        # Within 0.1 of an integer order n the series' pole terms
+        # Gamma(1-p) x^{p-1} and the k = n-1 term are summed as one; each
+        # alone is of order 1/e.  Measured worst 1.5e-15 over these orders.
+        p = n + e
+        x = np.geomspace(1e-6, 1.0, 200)
+        with mpmath.workdps(40):
+            want = [float(mpmath.expint(mpmath.mpf(p), mpmath.mpf(xi))) for xi in x]
+        np.testing.assert_allclose(tails.expint(p, x), want, rtol=3e-15, atol=0.0)
+
+    def test_pole_pair_at_the_pole(self):
+        # At p = n it is E_n's (-x)^{n-1} (psi(n) - ln x) / (n-1)!.
+        x = np.geomspace(1e-6, 1.0, 50)
+        for n, psi in ((1, -np.euler_gamma), (2, 1.0 - np.euler_gamma),
+                       (3, 1.5 - np.euler_gamma)):
+            want = (-x) ** (n - 1) / math.factorial(n - 1) * (psi - np.log(x))
+            np.testing.assert_allclose(tails.pole_pair(float(n), n, x), want, rtol=1e-15, atol=0.0)
 
 
 class TestStructure:
@@ -252,9 +271,11 @@ class TestStructure:
         np.testing.assert_array_equal(tail_profile(d[::-1], p), T[::-1])
 
     def test_a_problem_2_level_sweeps_twice(self, monkeypatch):
-        # One sweep for the reference operator's half grid, one for the
-        # operator's diagonal, whose right tails are its left tails reversed;
-        # at beta = 1 each sweep is one exponential integral.
+        # Both sweeps are the source's: the level's tails at x, which the
+        # operator's diagonal reuses with its right tails their reverse, and
+        # one more at x + 1/2, whose reverse is 3/2 - x; at beta = 1 each
+        # sweep is one exponential integral, and the source's moments need
+        # no other.
         sweeps, expints = [], []
 
         def counting(calls, fn):
@@ -270,6 +291,10 @@ class TestStructure:
         run_convergence_study(ExperimentConfig(example=2, params=params_for(1.0, 3.0),
                                                levels=levels))
         assert len(sweeps) == len(expints) == 2 * len(levels)
+        for J, (at_x, at_shift) in zip(levels, zip(sweeps[::2], sweeps[1::2])):
+            x = Grid(0.0, 1.0, 2 ** J).interior  # problem 2 takes M = 2^J
+            np.testing.assert_array_equal(at_x[0], x)
+            np.testing.assert_array_equal(at_shift[0], x + 0.5)
 
     def test_scipy_loads_only_where_needed(self):
         # Gauss-Jacobi rules and exponential integrals need numpy only, so
