@@ -15,8 +15,11 @@ from .core import gamma_fn
 # PANEL_POINTS Gauss-Legendre points each: every panel [lo, hi] in distance
 # from the kernel's singularity has hi <= 2 lo, so the Bernstein ellipse has
 # rho >= 3 + 2 sqrt(2) and the error is O(rho^(-2n)), 3e-25 at n = 16.  Against
-# 64 points the exterior loads read 5.9e-15 relative at 12 points, 2.8e-15 at
-# 16 and 1.6e-15 at 32.
+# 64 points, over beta in 0.05..1.95, lam in 0..300 and M in 16..1024, problem
+# 2's left exterior load reads 2.4e-15 relative at 12 points, 3.1e-15 at 16
+# and 1.8e-15 at 32: rounding, not truncation.  The right one reads up to
+# 1.5e-14 at 16 points and 2.2e-14 at 32, because g(b + p) = 2(b + p) - 2
+# keeps only the bits of p that b + p keeps.
 GAUSS_JACOBI_POINTS = 64
 PANEL_POINTS = 16
 
@@ -84,30 +87,35 @@ def row_block_quadrature(integrand, shape: tuple[int, ...], weights: np.ndarray)
     shape ``shape[:-1] + (rows in sl, points)``; ``scratch`` is one more
     (rows in sl, points) array for its temporaries.  Both are views of
     buffers of BLOCK_BYTES per grid, allocated once per call and reused for
-    every block, so only one block's grids exist at a time.  Returns the
-    sums, of shape ``shape``.
+    every block, so only one block's grids exist at a time.  ``weights`` is
+    one vector of ``points`` weights, or a (columns, points) array of
+    several; returns the sums, of shape ``shape`` or ``(columns,) + shape``.
+    Callers are the problem-1 source (two grids, one weight vector) and the
+    exterior loads (one kernel grid, a weight vector per exterior piece).
 
-    Every block's ``@ weights`` runs over whole groups of 4 rows (the last
-    block is padded with zero rows, whose sums are dropped).  OpenBLAS's
-    dgemv sums every full group of 4 rows alike but the last ``n % 4`` rows
-    of a product in another order, so without padding a row's sum would
-    depend on where the sweep ends.  With it, a row's sum depends only on
-    its own grid values, whatever the block size.
+    Every block's product with a weight vector runs over whole groups of 4
+    rows (the last block is padded with zero rows, whose sums are dropped).
+    OpenBLAS's dgemv sums every full group of 4 rows alike but the last
+    ``n % 4`` rows of a product in another order, so without padding a
+    row's sum would depend on where the sweep ends.  With it, a row's sum
+    depends only on its own grid values, whatever the block size.
     """
     *lead, rows = shape
-    points = weights.size
+    columns = np.atleast_2d(weights)
+    points = columns.shape[-1]
     whole = max(4, (rows + 3) // 4 * 4)  # rows rounded up to whole groups of 4, at least one
     block = min(max(4, BLOCK_BYTES // (8 * points) // 4 * 4), whole)
     buffers = np.empty((math.prod(lead) + 1, block, points))
     out, scratch = buffers[:-1].reshape(*lead, block, points), buffers[-1]
-    sums = np.empty((*lead, whole))
+    sums = np.empty((len(columns), *lead, whole))
     for lo in range(0, rows, block):
         n = min(block, rows - lo)
         padded = (n + 3) // 4 * 4
         integrand(slice(lo, lo + n), out[..., :n, :], scratch[:n])
         out[..., n:padded, :] = 0.0
-        np.matmul(out[..., :padded, :], weights, out=sums[..., lo:lo + padded])
-    return sums[..., :rows]
+        for w, s in zip(columns, sums):
+            np.matmul(out[..., :padded, :], w, out=s[..., lo:lo + padded])
+    return sums[..., :rows] if weights.ndim > 1 else sums[0, ..., :rows]
 
 
 def gauss_legendre_rule(n: int) -> QuadratureRule:

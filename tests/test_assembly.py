@@ -3,9 +3,11 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
 from templap import (
     BoundarySpec,
@@ -19,8 +21,9 @@ from templap import (
     read_system_dump,
     write_system_dump,
 )
-from templap.assembly import _exterior_load_profile
+from templap.assembly import PANEL_POINTS, _exterior_loads
 from templap.problems import example2_exterior
+from templap.quadrature import geometric_breakpoints, panel_quadrature_points
 
 
 def sample_params():
@@ -32,6 +35,27 @@ def sample_params():
         SchemeParams(beta=1.5, lam=0.0, s=1, s1=1),
         SchemeParams(beta=1.5, lam=1.0, s=0, s1=1),
     ]
+
+
+def direct_loads(boundary, params, grid):
+    """Each row's direct sum over each exterior piece's panel points: the loads' oracle.
+
+    The points are the loads' own (panels graded away from each endpoint,
+    the first of width min(h, 1/lam)), and so are the distances: d = x - a
+    from the left piece and d reversed from the right one.
+    """
+    a, b, h, lam, beta = grid.a, grid.b, grid.h, params.lam, params.beta
+    lo, hi = boundary.support
+    first_width = min(h, 1.0 / lam) if lam > 0.0 else h
+    d = grid.interior - a
+    loads = []
+    for dist, extent, sign, end in ((d, a - lo, -1.0, a), (d[::-1], hi - b, 1.0, b)):
+        edges = geometric_breakpoints(0.0, extent, first_width)
+        pts, wts = panel_quadrature_points(edges[:-1], edges[1:], PANEL_POINTS)
+        t = dist[:, None] + pts
+        kernel = np.exp(-lam * t - (1.0 + beta) * np.log(t))
+        loads.append(kernel @ (wts * boundary.exterior_g(end + sign * pts)))
+    return loads
 
 
 class TestMatrixStructure:
@@ -136,8 +160,7 @@ class TestBoundaryLoads:
     def test_zero_data_short_circuits(self):
         grid = Grid(0.0, 1.0, 7)
         p = SchemeParams(beta=0.5, lam=1.0, s=0, s1=0)
-        for side in ("left", "right"):
-            load = _exterior_load_profile(BoundarySpec(), p, grid, side)
+        for load in _exterior_loads(BoundarySpec(), p, grid):
             np.testing.assert_array_equal(load, np.zeros(grid.M))
 
     def test_left_piece_closed_form(self):
@@ -145,8 +168,7 @@ class TestBoundaryLoads:
         p = SchemeParams(beta=0.5, lam=0.0, s=0, s1=0)
         grid = Grid(0.0, 1.0, 7)  # x_4 = 1/2
         boundary = BoundarySpec(exterior_g=example2_exterior, support=(-0.5, 1.5))
-        d1 = _exterior_load_profile(boundary, p, grid, "left")[3]
-        d2 = _exterior_load_profile(boundary, p, grid, "right")[3]
+        d1, d2 = (load[3] for load in _exterior_loads(boundary, p, grid))
         assert d1 == pytest.approx(6.0 - 4.0 * math.sqrt(2.0), rel=1e-10)
         assert d2 > 0.0
 
@@ -158,8 +180,7 @@ class TestBoundaryLoads:
         grid = Grid(0.0, 1.0, 15)
         boundary = BoundarySpec(exterior_g=example2_exterior, support=(-0.5, 1.5))
         pieces = {"left": (-0.5, 0.0), "right": (1.0, 1.5)}
-        for side, (lo, hi) in pieces.items():
-            load = _exterior_load_profile(boundary, p, grid, side)
+        for (side, (lo, hi)), load in zip(pieces.items(), _exterior_loads(boundary, p, grid)):
             for i in (1, 8, 15):
                 x = grid.interior[i - 1]
                 integrand = lambda y: float(example2_exterior(y)) \
@@ -174,8 +195,7 @@ class TestBoundaryLoads:
         boundary = BoundarySpec(exterior_g=g_right, support=(0.0, 1.5))
         p = SchemeParams(beta=0.5, lam=0.5, s=0, s1=0)
         grid = Grid(0.0, 1.0, 7)
-        d1 = _exterior_load_profile(boundary, p, grid, "left")
-        d2 = _exterior_load_profile(boundary, p, grid, "right")
+        d1, d2 = _exterior_loads(boundary, p, grid)
         for i in (1, 4, 7):
             assert d1[i - 1] == 0.0
             assert d2[i - 1] > 0.0
@@ -185,10 +205,125 @@ class TestBoundaryLoads:
         grid = Grid(0.0, 1.0, 63)
         boundary = BoundarySpec(exterior_g=example2_exterior, support=(-0.5, 1.5))
         assert assembly.PANEL_POINTS == 16
-        coarse = _exterior_load_profile(boundary, p, grid, "left")
+        coarse = _exterior_loads(boundary, p, grid)
         monkeypatch.setattr(assembly, "PANEL_POINTS", 32)
-        fine = _exterior_load_profile(boundary, p, grid, "left")
+        fine = _exterior_loads(boundary, p, grid)
         np.testing.assert_allclose(coarse, fine, rtol=1e-12)
+
+    @pytest.mark.parametrize("M", [16, 256, 1024, 4096])
+    @pytest.mark.parametrize("lam", [0.0, 0.5, 3.0, 30.0, 300.0])
+    @pytest.mark.parametrize("beta", [0.05, 0.5, 0.999, 1.0, 1.5, 1.95])
+    def test_loads_match_closed_forms(self, beta, lam, M):
+        # Both of problem 2's pieces are 2p at distance p >= 0 from their
+        # endpoint, so each side's load at distance d is
+        #   2 int_d^{d+1/2} (t - d) e^{-lam t} t^{-1-beta} dt = 2 (J_1 - d J_0),
+        # with J_k the integral of t^{k-1-beta} e^{-lam t}: J_1 from gammainc
+        # and J_0 from J_1 by parts.  Measured worst 3.1e-14 over every row,
+        # at lam = 300: lam times the rounding of the nodes x_i to doubles,
+        # and on the right, g at b + p rounded to a double.
+        p = SchemeParams(beta=beta, lam=lam, s=1, s1=1)
+        grid = Grid(0.0, 1.0, M)
+        boundary = BoundarySpec(exterior_g=example2_exterior, support=(-0.5, 1.5))
+        left, right = _exterior_loads(boundary, p, grid)
+        # Every row at M = 16; above, the direct rows and every band's rows
+        # near its ends and middle, on both sides (row i of the right side
+        # sits at the left side's distance of row M+1-i).
+        j = np.arange(1, M + 1) if M == 16 else np.unique(np.concatenate(
+            [np.arange(1, 27)] + [np.r_[k - 1:k + 2, 3 * k // 2] for k in 24 * 2 ** np.arange(10)
+                                  if k < M] + [np.arange(M - 2, M + 1)]))
+        j = j[j <= M]
+        with mpmath.workdps(40):
+            lam_, beta_ = mpmath.mpf(lam), mpmath.mpf(beta)
+            want = []
+            for ji in j:
+                u = mpmath.mpf(int(ji)) / (M + 1)
+                v = u + mpmath.mpf(1) / 2
+                if lam == 0.0:
+                    J1 = mpmath.log(v / u) if beta == 1.0 else \
+                        (v ** (1 - beta_) - u ** (1 - beta_)) / (1 - beta_)
+                else:
+                    J1 = lam_ ** (beta_ - 1) * mpmath.gammainc(1 - beta_, lam_ * u, lam_ * v)
+                J0 = (u ** -beta_ * mpmath.exp(-lam_ * u) - v ** -beta_ * mpmath.exp(-lam_ * v)
+                      - lam_ * J1) / beta_
+                want.append(float(2 * (J1 - u * J0)))
+        want = np.array(want)
+        np.testing.assert_allclose(left[j - 1], want, rtol=5e-14, atol=0.0)
+        np.testing.assert_allclose(right[M - j], want, rtol=5e-14, atol=0.0)
+
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(beta=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True, allow_subnormal=False),
+           lam=st.floats(0.0, 300.0, allow_subnormal=False), M=st.integers(3, 2000),
+           a=st.floats(-5.0, 5.0), length=st.floats(0.1, 10.0),
+           extents=st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-3, 3.0))] * 2),
+           jumps=st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95)),
+           heights=st.tuples(*[st.floats(0.5, 2.0)] * 4))
+    def test_loads_match_direct_sums_anywhere(self, beta, lam, M, a, length, extents, jumps,
+                                              heights):
+        # Pieces of unequal extents (either possibly empty), g with a jump
+        # inside each, on any interval: the interpolated loads against each
+        # row's direct sum over the same panel points.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # beta within 1e-6 of 1
+            p = SchemeParams(beta=beta, lam=lam, s=1, s1=1)
+        grid = Grid(a, a + length, M)
+        lo, hi = grid.a - extents[0], grid.b + extents[1]
+        cut_left, cut_right = grid.a - jumps[0] * extents[0], grid.b + jumps[1] * extents[1]
+
+        def g(y):
+            y = np.asarray(y, dtype=float)
+            return np.select([(y >= lo) & (y < cut_left), (y >= cut_left) & (y <= grid.a),
+                              (y >= grid.b) & (y < cut_right), (y >= cut_right) & (y <= hi)],
+                             heights, 0.0)
+
+        boundary = BoundarySpec(exterior_g=g, support=(lo, hi))
+        d = grid.interior - grid.a
+        for got, want, dist, extent in zip(_exterior_loads(boundary, p, grid),
+                                           direct_loads(boundary, p, grid),
+                                           (d, d[::-1]), extents):
+            if extent == 0.0:
+                np.testing.assert_array_equal(got, 0.0)
+                continue
+            # Each direct term rounds its exponent, lam t + (1 + beta) ln t,
+            # to a double: a relative error of about eps times its size.
+            tol = 4e-15 * (8.0 + lam * dist + (1.0 + beta) * np.abs(np.log(dist)))
+            assert np.all(np.abs(got - want) <= tol * want + 1e-290)
+
+    def test_a_row_on_a_node_takes_the_node_value(self, monkeypatch):
+        # With h = 2^-8 the first band is [24h, 48h], and its midpoint 36h is
+        # a row: move the middle node there, with barycentric weights for the
+        # moved node set.
+        nodes = assembly.CHEBYSHEV_NODES.copy()
+        nodes[nodes.size // 2] = 0.0
+        weights = [1.0 / np.prod(np.delete(x - nodes, j)) for j, x in enumerate(nodes)]
+        monkeypatch.setattr(assembly, "CHEBYSHEV_NODES", nodes)
+        monkeypatch.setattr(assembly, "CHEBYSHEV_WEIGHTS", np.array(weights))
+        p = SchemeParams(beta=0.5, lam=3.0, s=1, s1=1)
+        grid = Grid(0.0, 1.0, 2 ** 8 - 1)
+        boundary = BoundarySpec(exterior_g=example2_exterior, support=(-0.5, 1.5))
+        for got, want in zip(_exterior_loads(boundary, p, grid), direct_loads(boundary, p, grid)):
+            np.testing.assert_allclose(got, want, rtol=1e-13)
+
+    def test_kernel_cost_is_logarithmic_in_M(self, monkeypatch):
+        # At M = 2^14 the loads sample the kernel at n (1 + ceil(log2(M / n)))
+        # distances at most, not at 2 M, and call g once per load vector.
+        p = SchemeParams(beta=1.5, lam=3.0, s=1, s1=1)
+        grid = Grid(0.0, 1.0, 2 ** 14)
+        calls = []
+        boundary = BoundarySpec(exterior_g=lambda y: calls.append(np.size(y)) or example2_exterior(y),
+                                support=(-0.5, 1.5))
+        calls.clear()
+        sweeps = []
+        real = assembly.row_block_quadrature
+        monkeypatch.setattr(assembly, "row_block_quadrature",
+                            lambda integrand, shape, weights:
+                            sweeps.append((shape, weights.shape)) or real(integrand, shape, weights))
+        F = assemble_rhs(np.zeros(grid.M), boundary, p, grid)
+        n = assembly.LOAD_NODES
+        (rows,), (columns, points) = sweeps[0][0], sweeps[0][1]
+        assert len(sweeps) == 1 and len(calls) == 1 and columns == 2
+        assert rows <= n * (1 + math.ceil(math.log2(grid.M / n)))
+        assert calls[0] == points
+        assert np.all(F > 0.0)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,7 @@ from templap import (
 )
 from templap import problems, tail_profile
 from templap.quadrature import GAUSS_JACOBI_POINTS, jacobi_gauss_rule, row_block_quadrature
-from templap.assembly import _exterior_load_profile
+from templap.assembly import _exterior_loads
 from templap.problems import EXAMPLE2_SUPPORT, example2_extension
 from templap.tails import expint
 
@@ -206,8 +206,7 @@ class TestProblem2:
         p = SchemeParams(beta=0.5, lam=0.0, s=0, s1=0)
         grid = Grid(0.0, 1.0, 16)
         _, boundary, _ = example2_setup(p, grid)
-        left = _exterior_load_profile(boundary, p, grid, "left")
-        right = _exterior_load_profile(boundary, p, grid, "right")
+        left, right = _exterior_loads(boundary, p, grid)
         for i in (1, 8, 16):
             d1, d2 = left[i - 1], right[i - 1]
             assert d1 >= 0.0 and d2 >= 0.0

@@ -241,17 +241,16 @@ class TestStructure:
     @pytest.mark.parametrize("M", [127, 128, 129, 4095])
     @pytest.mark.parametrize("beta, lam, s", [(0.6, 2.5, (0, 0)), (1.4, 0.5, (1, 1))])
     def test_row_blocks_match_one_shot_sums(self, monkeypatch, M, beta, lam, s):
-        # Both callers of row_block_quadrature: the problem-1 source and the
-        # exterior loads on each side.
+        # Both callers of row_block_quadrature: the problem-1 source (two
+        # grids, one weight vector) and the exterior loads (one kernel grid,
+        # a weight vector per side).
         p = SchemeParams(beta=beta, lam=lam, s=s[0], s1=s[1])
         grid = Grid(0.0, 1.0, M)
         boundary = BoundarySpec(exterior_g=problems.example2_exterior,
                                 support=problems.EXAMPLE2_SUPPORT)
 
         def sums():
-            return (example1_f(p, grid),
-                    *(assembly._exterior_load_profile(boundary, p, grid, side)
-                      for side in ("left", "right")))
+            return example1_f(p, grid), *assembly._exterior_loads(boundary, p, grid)
 
         blocked = sums()
         monkeypatch.setattr(quadrature, "BLOCK_BYTES", 1 << 30)  # one block for all rows
