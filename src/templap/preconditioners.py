@@ -3,8 +3,8 @@
 Banded route: truncate H to a (2k+1)-band matrix and add the diagonal
 compensation O chosen so the band matrix G keeps the row sums of H
 (G e = H e).  G inherits the M-matrix property, so its Cholesky factor
-exists and is itself banded (no fill outside the band); applying the
-preconditioner is two banded triangular solves, O(k M).
+G = U^T U exists and is banded too (no fill outside the band); applying the
+preconditioner is a banded solve with U^T and one with U, O(k M).
 
 Circulant route: replace the diagonal by its mean to get a genuine
 Toeplitz matrix G, then take the closest circulant in Frobenius norm,
@@ -14,11 +14,11 @@ build, and apply is that symmetric Toeplitz product through toeplitz.py's
 power-of-two embedding, O(M log M).
 
 The circulant route needs numpy only, and so does the banded route where
-numpy ships its own OpenBLAS (ILP64, symbols prefixed ``scipy_``): it
-calls that library's LAPACK ``dpbtrf`` (banded Cholesky) and ``dpbtrs``
-(the two banded triangular solves) through ctypes.  Elsewhere it falls
-back to ``scipy.linalg``'s ``cholesky_banded`` and ``pbtrs``, imported
-when a preconditioner is built, so importing this module loads no scipy.
+numpy ships its own OpenBLAS (ILP64, symbols prefixed ``scipy_``): it calls
+that library's LAPACK ``dpbtrf`` and ``dpbtrs`` through ctypes, with G and U
+in upper band storage (OpenBLAS solves L^T x = y twice as slowly as U^T x = y).
+Elsewhere it falls back to ``scipy.linalg``'s ``cholesky_banded`` and ``pbtrs``,
+imported when a preconditioner is built, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -106,21 +106,21 @@ def _refs(*ints: int):
 class BandedCholPrecond:
     """Cholesky factor of the diagonally compensated band extraction."""
 
-    def __init__(self, bandwidth: int, lower_factor: np.ndarray, compensation: np.ndarray):
+    def __init__(self, bandwidth: int, upper_factor: np.ndarray, compensation: np.ndarray):
         self.bandwidth = bandwidth
-        self.lower_factor = lower_factor      # LAPACK lower band storage of L, G = L L^T
+        self.upper_factor = upper_factor      # LAPACK upper band storage of U, G = U^T U
         self.compensation = compensation      # diagonal of O
-        if not (np.all(np.isfinite(lower_factor)) and np.all(lower_factor[0] > 0.0)):
+        if not (np.all(np.isfinite(upper_factor)) and np.all(upper_factor[-1] > 0.0)):
             raise ValueError("banded Cholesky factor is not finite with a positive diagonal")
         pbtrs = _openblas_lapack("dpbtrs", ctypes.c_char_p, _INT, _INT, _INT,
                                  ctypes.c_void_p, _INT, ctypes.c_void_p, _INT, _INT)
         if pbtrs is None:
             from scipy.linalg import get_lapack_funcs
 
-            (scipy_pbtrs,) = get_lapack_funcs(("pbtrs",), (lower_factor,))
-            self._solve = lambda v: scipy_pbtrs(lower_factor, v, lower=True)
+            (scipy_pbtrs,) = get_lapack_funcs(("pbtrs",), (upper_factor,))
+            self._solve = lambda v: scipy_pbtrs(upper_factor, v, lower=False)
             return
-        ab = np.asfortranarray(lower_factor, dtype=float)
+        ab = np.asfortranarray(upper_factor, dtype=float)
         n, kd, ldab = _refs(ab.shape[1], ab.shape[0] - 1, ab.shape[0])
 
         def solve(v):
@@ -128,11 +128,13 @@ class BandedCholPrecond:
             x = np.array(v, dtype=float, order="F")
             (nrhs,) = _refs(x.size // ab.shape[1])
             info = ctypes.c_int64()
-            pbtrs(b"L", n, kd, nrhs, ab.ctypes.data, ldab, x.ctypes.data, n,
+            pbtrs(b"U", n, kd, nrhs, ab.ctypes.data, ldab, x.ctypes.data, n,
                   ctypes.byref(info), 1)
             return x, info.value
 
         self._solve = solve
+
+    lower_factor = property(lambda self: self.upper_factor)  # former name; perfbench reads it
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Solve G x = v with two banded triangular solves (LAPACK pbtrs).
@@ -140,7 +142,7 @@ class BandedCholPrecond:
         No finiteness scan: the constructor checked the factor, and
         pcg_solve rejects a non-finite right-hand side.  v is not modified.
         """
-        M = self.lower_factor.shape[1]
+        M = self.upper_factor.shape[1]
         if np.shape(v)[:1] != (M,):
             raise ValueError(f"right-hand side has shape {np.shape(v)}, expected ({M},)")
         x, info = self._solve(v)
@@ -165,26 +167,24 @@ def build_band_compensated_ichol(op: OperatorMatrix, k: int = 10) -> BandedCholP
     in_band = t.copy()
     in_band[k + 1:] = 0.0
     compensation = offdiag_row_sums(t) - offdiag_row_sums(in_band)
-    band = np.zeros((k + 1, M), order="F")
-    band[0] = op.diag + compensation
-    for j in range(1, k + 1):
-        band[j, :M - j] = t[j]
+    band = np.empty((k + 1, M), order="F")  # LAPACK upper band storage of G
+    band[:k] = t[k:0:-1, None]  # row k - j: superdiagonal j, from column j on
+    band[:k, :k][np.tri(k, dtype=bool)[::-1]] = 0.0  # the corner r + c < k holds no entry
+    band[k] = op.diag + compensation
     pbtrf = _openblas_lapack("dpbtrf", ctypes.c_char_p, _INT, _INT, ctypes.c_void_p, _INT, _INT)
     if pbtrf is None:
         from scipy.linalg import cholesky_banded
 
         try:
-            band = cholesky_banded(band, lower=True)
+            band = cholesky_banded(band, lower=False)
             info = 0
         except np.linalg.LinAlgError:  # the class scipy.linalg raises
             info = 1
     else:
         info = ctypes.c_int64()
-        pbtrf(b"L", *_refs(M, k), band.ctypes.data, *_refs(k + 1), ctypes.byref(info), 1)
+        pbtrf(b"U", *_refs(M, k), band.ctypes.data, *_refs(k + 1), ctypes.byref(info), 1)
         info = info.value
     if info != 0:
-        raise ValueError(
-            "banded Cholesky hit a non-positive pivot; the compensated band "
-            "matrix is not positive definite (broken assembly invariants?)"
-        )
-    return BandedCholPrecond(bandwidth=k, lower_factor=band, compensation=compensation)
+        raise ValueError("banded Cholesky hit a non-positive pivot; the compensated band "
+                         "matrix is not positive definite (broken assembly invariants?)")
+    return BandedCholPrecond(bandwidth=k, upper_factor=band, compensation=compensation)

@@ -574,8 +574,12 @@ def test_supplementary_tempered_exit_time_magnitudes():
 
 
 def test_asymptotic_cost_of_pcg():
-    # Not a table criterion: doubling M at an unchanged iteration count may
-    # grow the solve time by at most 2.6x (the M log M scaling plus slack).
+    # Not a table criterion: doubling M may grow the solve time by at most
+    # 2.6x (the M log M scaling plus slack).  The circulant solve takes the
+    # same number of iterations at both levels (11), so its ratio is the
+    # cost of one iteration; the banded solve takes more at J = 14 than at
+    # J = 13 (48 against 43), and its ratio includes that growth.  Both
+    # preconditioners' counts are in the report and the assertion message.
     # The two levels are timed in alternation, one solve at a time, and the
     # fastest of 50 solves is kept per level and preconditioner.  Timing all
     # of one level before the other let a change of load on a shared host
@@ -600,6 +604,9 @@ def test_asymptotic_cost_of_pcg():
             times[name, J] = min(times[name, J], time.perf_counter() - start)
             iters[name, J] = rep.iterations
     ratios = {name: times[name, 14] / times[name, 13] for name in ("tchan", "ichol")}
-    assert all(r <= 2.6 for r in ratios.values()), (times, iters)
+    counts = ", ".join(f"{name} {iters[name, 13]} -> {iters[name, 14]}"
+                       for name in ("tchan", "ichol"))
+    assert all(r <= 2.6 for r in ratios.values()), (times, f"iterations {counts}")
     _report("timing", "PCG wall time grows {tchan:.2f}x (circulant) / "
-                      "{ichol:.2f}x (banded) when M doubles".format(**ratios))
+                      "{ichol:.2f}x (banded) when M doubles; iterations ".format(**ratios)
+            + counts)

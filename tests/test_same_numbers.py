@@ -48,15 +48,16 @@ def test_summary_gives_each_gated_group_its_worst_share():
         return same_numbers.gate_shares(level, GOLDEN, TOLERANCES)
 
     moved_levels = [("a J=12", shares(moved(12, l2_err=2.0e-6 * (1 + 0.3e-4), iterations=31)),
-                     shares(moved(12))),
+                     shares(moved(12)), 1),
                     ("a J=13", shares(moved(13, linf_err=2.0e-6 * (1 - 0.7e-4),
-                                            l2_rate=1.0 + 0.2e-3)), shares(moved(13))),
-                    ("b J=14", None, None)]  # no golden value: in no group and not counted
+                                            l2_rate=1.0 + 0.2e-3)), shares(moved(13)), 0),
+                    ("b J=14", None, None, None)]  # no golden value: in no group and not counted
     lines = same_numbers.summary(moved_levels)
     assert lines == ["worst errors share 0.700 at a J=13 (linf_err)",
                      "worst rates share 0.200 at a J=13 (l2_rate)",
                      "worst iterations share 1.000 at a J=12 (iterations)",
-                     "1 differing levels reached share >= 1 under the change, "
+                     "1 differing levels reached share >= 1 under the change (0 with fewer "
+                     "iterations than golden, 1 with more, 0 with as many), "
                      "0 more were at share >= 1 at the parent"]
 
 
@@ -70,20 +71,67 @@ def test_summary_counts_a_level_already_at_the_limit_apart():
 
     at_limit = shares(moved(12, iterations=31))
     lines = same_numbers.summary([
-        ("held", shares(moved(12, iterations=31, l2_err=2.0e-6 * (1 + 0.3e-4))), at_limit),
-        ("further", shares(moved(12, iterations=32)), at_limit),
-        ("other field", shares(moved(12, iterations=31, l2_rate=1.0)), at_limit),
-        ("back", shares(moved(12, iterations=30)), at_limit),
+        ("held", shares(moved(12, iterations=31, l2_err=2.0e-6 * (1 + 0.3e-4))), at_limit, 1),
+        ("further", shares(moved(12, iterations=32)), at_limit, 2),
+        ("other field", shares(moved(12, iterations=31, l2_rate=1.0)), at_limit, 1),
+        ("back", shares(moved(12, iterations=30)), at_limit, 0),
     ])
-    assert lines[-1] == ("2 differing levels reached share >= 1 under the change, "
+    assert lines[-1] == ("2 differing levels reached share >= 1 under the change (0 with fewer "
+                         "iterations than golden, 2 with more, 0 with as many), "
                          "1 more were at share >= 1 at the parent")
+
+
+def test_summary_splits_the_reached_levels_by_the_sign_of_their_iteration_change():
+    # One iteration fewer than golden and one more use the same share; the
+    # summary tells them apart, and a level that reaches 1 through another
+    # field at golden's count goes to "as many".
+    def shares(level):
+        return same_numbers.gate_shares(level, GOLDEN, TOLERANCES)
+
+    def entry(level):
+        return (f"J={level['J']}", shares(level), shares(moved(level["J"])),
+                same_numbers.iteration_change(level, GOLDEN))
+
+    lines = same_numbers.summary([entry(moved(13, iterations=29)), entry(moved(12, iterations=29)),
+                                  entry(moved(12, iterations=31)),
+                                  entry(moved(13, l2_rate=1.0 + 2e-3))])
+    assert lines[-1] == ("4 differing levels reached share >= 1 under the change (2 with fewer "
+                         "iterations than golden, 1 with more, 1 with as many), "
+                         "0 more were at share >= 1 at the parent")
+
+
+def test_iteration_change_is_signed_against_golden():
+    assert same_numbers.iteration_change(moved(13, iterations=28), GOLDEN) == -2
+    assert same_numbers.iteration_change(moved(12, iterations=31), GOLDEN) == 1
+    assert same_numbers.iteration_change(moved(12), GOLDEN) == 0
+    assert same_numbers.iteration_change({**moved(12), "J": 14}, GOLDEN) is None
+    assert same_numbers.iteration_change(moved(12), None) is None
+
+
+def test_each_differing_level_prints_its_iteration_change(monkeypatch, capsys):
+    results = {"parent": {"w": {"a": [moved(12), moved(13)]}},
+               "change": {"w": {"a": [moved(12, iterations=29), moved(13, iterations=31)]}}}
+
+    def run_all(checkout):
+        return {"results": results[checkout.name], "golden": {"a": GOLDEN},
+                "tolerances": TOLERANCES}
+
+    monkeypatch.setattr(same_numbers, "run_all", run_all)
+    assert same_numbers.main(["--parent", "parent", "--change", "change"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("w a J=12: ") and out[0].endswith("iterations -1 against golden")
+    assert out[1].startswith("w a J=13: ") and out[1].endswith("iterations +1 against golden")
+    assert ("2 differing levels reached share >= 1 under the change (1 with fewer iterations "
+            "than golden, 1 with more, 0 with as many), 0 more were at share >= 1 at the parent"
+            in out)
 
 
 def test_summary_of_no_differing_level():
     assert same_numbers.summary([]) == ["worst errors share none", "worst rates share none",
                                         "worst iterations share none",
-                                        "0 differing levels reached share >= 1 under the change, "
-                                        "0 more were at share >= 1 at the parent"]
+                                        "0 differing levels reached share >= 1 under the change "
+                                        "(0 with fewer iterations than golden, 0 with more, 0 "
+                                        "with as many), 0 more were at share >= 1 at the parent"]
 
 
 def test_each_workload_totals_its_pcg_iterations():

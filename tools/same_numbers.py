@@ -13,12 +13,14 @@ every field the gate checks: |err - golden| / (ERR_RTOL |golden|) for both
 errors, |rate - golden| / RATE_ATOL for both rates and |iterations -
 golden| / ITER_ATOL, with ``golden.json`` and the three tolerances read
 from the change checkout (a share of 1 is the benchmark gate's limit), and
-the parent's share of that field beside it.  The summary gives, over the
-differing levels, the worst share of each gated group (errors, rates,
-iterations) with its level and field, and the number of levels that reached
-a share of 1 or more under the change: some field at 1 or more and above
-the parent's share of it.  Levels that sat at 1 or more at the parent and
-got no further are counted apart.  Last come each workload's total PCG
+the parent's share of that field beside it, and the level's signed
+iteration change against golden.  The summary gives, over the differing
+levels, the worst share of each gated group (errors, rates, iterations)
+with its level and field, and the number of levels that reached a share of
+1 or more under the change: some field at 1 or more and above the parent's
+share of it, split into levels with fewer iterations than golden, with
+more, and with as many.  Levels that sat at 1 or more at the parent and got
+no further are counted apart.  Last come each workload's total PCG
 iterations over its studies, for the parent and the change: the
 benchmark's ``pcg_iters`` metric.  Exits 1 on any difference, 0 when every
 level is equal.  Standard library only.
@@ -88,12 +90,16 @@ GROUPS = {"errors": ("l2_err", "linf_err"), "rates": ("l2_rate", "linf_rate"),
           "iterations": ("iterations",)}
 
 
+def _golden_level(level: dict, golden: list | None) -> dict | None:
+    return next((g for g in golden or () if g["J"] == level["J"]), None)
+
+
 def gate_shares(level: dict, golden: list | None, tolerances: dict) -> dict | None:
     """Share of the golden gate's tolerance for each gated field of a level.
 
     None when the study has no golden value for the level.
     """
-    want = next((g for g in golden or () if g["J"] == level["J"]), None)
+    want = _golden_level(level, golden)
     if want is None:
         return None
     allowed = {"l2_err": tolerances["err_rtol"] * abs(want["l2_err"]),
@@ -101,6 +107,12 @@ def gate_shares(level: dict, golden: list | None, tolerances: dict) -> dict | No
                "l2_rate": tolerances["rate_atol"], "linf_rate": tolerances["rate_atol"],
                "iterations": tolerances["iter_atol"]}
     return {key: _share(level[key], want[key], tol) for key, tol in allowed.items()}
+
+
+def iteration_change(level: dict, golden: list | None) -> int | None:
+    """A level's iterations minus golden's; None without a golden value for the level."""
+    want = _golden_level(level, golden)
+    return None if want is None else level["iterations"] - want["iterations"]
 
 
 def gate_share(level: dict, golden: list | None, tolerances: dict) -> tuple[float, str]:
@@ -117,29 +129,37 @@ def gate_share(level: dict, golden: list | None, tolerances: dict) -> tuple[floa
 
 
 def summary(differing: list) -> list[str]:
-    """Summary lines for the differing levels, as (label, gate_shares, parent's) triples.
+    """Summary lines for the differing levels.
 
-    One line per gated group with its worst share, the level and the field,
-    then the number of levels that reached a share of 1 or more under the
-    change (some field at 1 or more and above the parent's share of it), and
-    the number of other levels at 1 or more, which the parent shares.
+    Each level is a (label, gate_shares, parent's gate_shares,
+    iteration_change) tuple.  One line per gated group with its worst
+    share, the level and the field, then the number of levels that reached
+    a share of 1 or more under the change (some field at 1 or more and
+    above the parent's share of it), split by the sign of their iteration
+    change against golden, and the number of other levels at 1 or more,
+    which the parent shares.
     """
     lines = []
     for group, fields in GROUPS.items():
-        worst = max(((shares[f], label, f) for label, shares, _ in differing
+        worst = max(((shares[f], label, f) for label, shares, *_ in differing
                      if shares is not None for f in fields), default=None)
         lines.append(f"worst {group} share " + ("none" if worst is None else
                      f"{worst[0]:.3f} at {worst[1]} ({worst[2]})"))
-    reached = held = 0
-    for _, shares, before in differing:
+    fewer = more = same = held = 0
+    for _, shares, before, change in differing:
         if shares is None or max(shares.values()) < 1.0:
             continue
-        if any(v >= 1.0 and v > before[f] for f, v in shares.items()):
-            reached += 1
-        else:
+        if not any(v >= 1.0 and v > before[f] for f, v in shares.items()):
             held += 1
-    lines.append(f"{reached} differing levels reached share >= 1 under the change, "
-                 f"{held} more were at share >= 1 at the parent")
+        elif change < 0:
+            fewer += 1
+        elif change > 0:
+            more += 1
+        else:
+            same += 1
+    lines.append(f"{fewer + more + same} differing levels reached share >= 1 under the change "
+                 f"({fewer} with fewer iterations than golden, {more} with more, {same} with "
+                 f"as many), {held} more were at share >= 1 at the parent")
     return lines
 
 
@@ -171,7 +191,7 @@ def main(argv=None) -> int:
     changed = run_all(args.change.resolve())
     change, golden, tolerances = changed["results"], changed["golden"], changed["tolerances"]
     studies = levels = differing = 0
-    moved = []  # (label, gate shares, parent's gate shares) of each differing level
+    moved = []  # (label, gate shares, parent's gate shares, iteration change) per differing level
     for workload in sorted(parent.keys() | change.keys()):
         par, chg = parent.get(workload, {}), change.get(workload, {})
         for sid in sorted(par.keys() | chg.keys()):
@@ -189,12 +209,16 @@ def main(argv=None) -> int:
                 if p != c:
                     differing += 1
                     before = gate_shares(p, golden.get(sid), tolerances)
+                    change_iters = iteration_change(c, golden.get(sid))
                     moved.append((f"{sid} J={p['J']}",
-                                  gate_shares(c, golden.get(sid), tolerances), before))
+                                  gate_shares(c, golden.get(sid), tolerances), before,
+                                  change_iters))
                     share, field = gate_share(c, golden.get(sid), tolerances)
                     print(f"{workload} {sid} J={p['J']}: largest relative difference "
                           f"{largest_rel_diff(p, c):.3e}, gate share {share:.3f} ({field}), "
-                          f"parent {before[field] if before else math.nan:.3f}")
+                          f"parent {before[field] if before else math.nan:.3f}, iterations "
+                          + ("against no golden value" if change_iters is None else
+                             f"{change_iters:+d} against golden"))
     print(f"{studies} studies, {levels} levels compared, {differing} differ")
     print("\n".join(summary(moved) + iteration_lines(parent, change)))
     return 1 if differing else 0
