@@ -5,7 +5,7 @@ The matrix is dense (the operator is nonlocal) but highly structured: a
 diagonal plus a symmetric Toeplitz part, so 2M floats describe the whole
 thing.  This script builds a small operator, verifies the M-matrix sign
 pattern and diagonal dominance by eye, shows the off-diagonal decay, and
-writes the binary system dump used for cross-implementation diffing.
+saves the system's 2M + M floats with ``np.savez`` and loads them back.
 """
 
 import os
@@ -21,8 +21,6 @@ from templap import (
     assemble_rhs,
     materialize_dense,
     offdiag_row_sums,
-    read_system_dump,
-    write_system_dump,
 )
 
 params = SchemeParams(beta=0.5, lam=3.0, s=1, s1=1)
@@ -53,8 +51,9 @@ F = assemble_rhs(np.ones(grid.M), boundary, params, grid)
 print(f"\nload vector with exterior data (first three rows): {F[:3]}")
 
 with tempfile.TemporaryDirectory() as tmp:
-    path = os.path.join(tmp, "templap_system.tflap")
-    write_system_dump(path, op, F)
-    diag, col, load = read_system_dump(path)
-print("binary dump round trip: "
-      f"{np.array_equal(diag, op.diag) and np.array_equal(load, F)}")
+    path = os.path.join(tmp, "templap_system.npz")
+    np.savez(path, diag=op.diag, toeplitz_col=op.toeplitz_col, F=F)
+    with np.load(path) as saved:
+        same = all(np.array_equal(saved[k], v) for k, v in
+                   (("diag", op.diag), ("toeplitz_col", op.toeplitz_col), ("F", F)))
+print(f"saved system round trip: {same}")

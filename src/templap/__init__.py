@@ -23,8 +23,6 @@ from .assembly import (
     assemble_rhs,
     materialize_dense,
     offdiag_row_sums,
-    read_system_dump,
-    write_system_dump,
 )
 from .convergence import (
     ConvergenceReport,
@@ -79,9 +77,7 @@ __all__ = [
     "materialize_dense",
     "offdiag_row_sums",
     "pcg_solve",
-    "read_system_dump",
     "reference_apply_operator",
     "run_convergence_study",
     "tail_profile",
-    "write_system_dump",
 ]

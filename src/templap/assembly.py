@@ -51,7 +51,6 @@ LOAD_ROWS = 512
 _THETA = [(k + 0.5) * math.pi / LOAD_NODES for k in range(LOAD_NODES)]
 CHEBYSHEV_NODES = np.array([math.cos(t) for t in _THETA])
 CHEBYSHEV_WEIGHTS = np.array([(-1.0) ** k * math.sin(t) for k, t in enumerate(_THETA)])
-DUMP_MAGIC = b"TFLAP001"
 
 
 @dataclass(frozen=True)
@@ -318,29 +317,3 @@ def materialize_dense(op: OperatorMatrix) -> np.ndarray:
     dense = op.toeplitz_col[idx]
     np.fill_diagonal(dense, op.diag)
     return dense
-
-
-def write_system_dump(path, op: OperatorMatrix, F: np.ndarray) -> None:
-    """Binary dump of (diag, toeplitz_col, F): magic header + little-endian f64."""
-    F = np.asarray(F, dtype=float)
-    if F.shape != (op.M,):
-        raise ValueError("load vector length does not match the operator")
-    with open(path, "wb") as fh:
-        fh.write(DUMP_MAGIC)
-        for arr in (op.diag, op.toeplitz_col, F):
-            fh.write(np.asarray(arr, dtype="<f8").tobytes())
-
-
-def read_system_dump(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of write_system_dump; returns (diag, toeplitz_col, F)."""
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != DUMP_MAGIC:
-            raise ValueError(f"bad magic {magic!r}, expected {DUMP_MAGIC!r}")
-        payload = fh.read()
-    n = len(payload) // 8
-    if n % 3 != 0 or len(payload) != 8 * n:
-        raise ValueError("dump payload is not three equal float64 blocks")
-    M = n // 3
-    flat = np.frombuffer(payload, dtype="<f8")
-    return flat[:M].copy(), flat[M:2 * M].copy(), flat[2 * M:].copy()

@@ -52,8 +52,9 @@ def compute_rates(errors, hs, log_corrected: bool = False):
     """Observed orders from errors on successively refined grids.
 
     Plain: ln(e1/e2) / ln(h1/h2) per adjacent pair.  The log-corrected
-    variant weights the error ratio by ln(h2)/ln(h1), matching schemes whose
-    truncation error carries a |ln h| factor.  A zero error leaves the rate
+    variant weights the error ratio by |ln h2| / |ln h1|, matching schemes
+    whose truncation error carries a |ln h| factor; a mesh width of 1, where
+    that factor vanishes, leaves it undefined.  A zero error leaves the rate
     undefined (None).
     """
     errors = list(errors)
@@ -62,12 +63,12 @@ def compute_rates(errors, hs, log_corrected: bool = False):
         raise ValueError("need one mesh size per error")
     rates = []
     for (e1_, h1), (e2_, h2) in zip(zip(errors, hs), zip(errors[1:], hs[1:])):
-        if e1_ == 0.0 or e2_ == 0.0:
+        if e1_ == 0.0 or e2_ == 0.0 or (log_corrected and 1.0 in (h1, h2)):
             rates.append(None)
             continue
         ratio = e1_ / e2_
         if log_corrected:
-            ratio *= math.log(h2) / math.log(h1)
+            ratio *= abs(math.log(h2)) / abs(math.log(h1))
         rates.append(math.log(ratio) / math.log(h1 / h2))
     return rates
 

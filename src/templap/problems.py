@@ -25,7 +25,7 @@ from .assembly import BoundarySpec, level_tails
 from .core import Grid, SchemeParams, gamma_fn
 from .quadrature import GAUSS_JACOBI_POINTS, jacobi_gauss_rule, row_block_quadrature
 from .reference import reference_apply_operator  # noqa: F401  (a call site the benchmark tracer wraps)
-from .tails import expint, horner, log_power, pole_pair, tail_profile
+from .tails import expint, log_power, pole_pair, power_series, tail_profile
 
 EXAMPLE2_SUPPORT = (-0.5, 1.5)
 
@@ -181,7 +181,7 @@ def _first_moment(d: np.ndarray, T: np.ndarray, params: SchemeParams):
     * z <= 1: the term-by-term integral of e^{-lam t}, with its j = 0 and 1
       terms (poles at beta = 1 and 2) taken relative to d0:
       -d0^{1-beta} L_{1-beta}(d/d0) + lam d0^{2-beta} L_{2-beta}(d/d0)
-      - d^{1-beta} sum_{j>=2} (-z)^j / (j! (1-beta+j)).
+      - d^{1-beta} sum_{j>=2} (-z)^j / (j! (1-beta+j)), ``power_series``.
     * z > 1: d^{1-beta} E_beta(z) - K, with E_beta from ``_lower_orders`` and
       K = d0^{1-beta} (Gamma(1-beta) z0^{beta-1} - 1/(1-beta) + z0/(2-beta)),
       z0 = lam d0, both poles grouped by ``pole_pair``.
@@ -200,7 +200,7 @@ def _first_moment(d: np.ndarray, T: np.ndarray, params: SchemeParams):
     r = np.log(dn / d0)
     v[near] = (lam * d0 ** (2.0 - beta) * log_power(2.0 - beta, r)
                - d0 ** (1.0 - beta) * log_power(1.0 - beta, r)
-               - dn ** (1.0 - beta) * _series(1.0 - beta, z[near], first=2))
+               - dn ** (1.0 - beta) * power_series(1.0 - beta, z[near], skip=(0, 1)))
     if not near.all():
         far = ~near
         z0 = lam * d0
@@ -214,7 +214,7 @@ def _first_moment(d: np.ndarray, T: np.ndarray, params: SchemeParams):
 def _moments(d: np.ndarray, T: np.ndarray, params: SchemeParams) -> list:
     """m_k(d) = int_0^d t^{k-1-beta} e^{-lam t} dt for k = 2, 3, 4, given T = T(d).
 
-    * lam d <= 2: m_4 = d^{4-beta} sum_j (-lam d)^j / (j! (4-beta+j)), then
+    * lam d <= 2: m_4 = d^{4-beta} sum_j (-lam d)^j / (j! (4-beta+j)) (``power_series``), then
       m_k = (lam m_{k+1} + d^{k-beta} e^{-lam d}) / (k-beta), a sum of positive terms.
     * lam d > 2: Gamma(k-beta) lam^{beta-k} - d^{k-beta} E_{1+beta-k}(lam d), the
       orders from ``_lower_orders``.
@@ -229,7 +229,7 @@ def _moments(d: np.ndarray, T: np.ndarray, params: SchemeParams) -> list:
     dn, zn = d[near], z[near]
     powers = [dn ** (2.0 - beta)]  # d^{k-beta}, k = 2, 3, 4
     powers += [powers[0] * dn, powers[0] * dn * dn]
-    mk = powers[2] * _series(4.0 - beta, zn)
+    mk = powers[2] * power_series(4.0 - beta, zn)
     out[2][near] = mk
     decay = np.exp(-zn)
     for k in (3, 2):
@@ -260,16 +260,6 @@ def _lower_orders(d: np.ndarray, T: np.ndarray, params: SchemeParams, count: int
         E = (ez - p * E) / z
         out.append(E)
     return out
-
-
-def _series(q: float, z: np.ndarray, first: int = 0) -> np.ndarray:
-    """sum_{j>=first} (-z)^j / (j! (q+j)), cut where z^j / j! < 1e-19 at the largest z."""
-    n = 1
-    zmax = float(z.max()) if z.size else 0.0
-    while zmax ** n / math.factorial(n) > 1e-19:
-        n += 1
-    return horner(-z, [0.0 if j < first else 1.0 / (math.factorial(j) * (q + j))
-                       for j in range(n)])
 
 
 def example3_exact(beta: float, r: float, x):

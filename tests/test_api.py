@@ -15,9 +15,8 @@ PUBLIC = {
     "assemble_operator", "assemble_rhs", "build_band_compensated_ichol",
     "build_tchan_precond", "compute_rates", "error_norms", "example1_exact",
     "example1_f", "example2_setup", "example3_exact", "example3_setup", "format_report",
-    "materialize_dense", "offdiag_row_sums", "pcg_solve", "read_system_dump",
-    "reference_apply_operator", "run_convergence_study", "tail_profile",
-    "write_system_dump",
+    "materialize_dense", "offdiag_row_sums", "pcg_solve", "reference_apply_operator",
+    "run_convergence_study", "tail_profile",
 }
 
 

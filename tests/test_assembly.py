@@ -1,4 +1,4 @@
-"""Stiffness matrix and load vector: structure, oracles, and serialization."""
+"""Stiffness matrix and load vector: structure and oracles."""
 
 import math
 import warnings
@@ -18,8 +18,6 @@ from templap import (
     assembly,
     materialize_dense,
     offdiag_row_sums,
-    read_system_dump,
-    write_system_dump,
 )
 from templap.assembly import PANEL_POINTS, _exterior_loads
 from templap.problems import example2_exterior
@@ -379,7 +377,7 @@ class TestLoadVector:
             assemble_rhs(np.full(7, np.nan), BoundarySpec(), p, grid)
 
 
-class TestDenseAndDump:
+class TestDense:
     def test_layout_and_bitwise_symmetry(self):
         grid = Grid(0.0, 1.0, 3)
         p = SchemeParams(beta=0.5, lam=1.0, s=0, s1=0)
@@ -403,21 +401,3 @@ class TestDenseAndDump:
         v = rng.standard_normal(grid.M)
         got, want = op.matvec(v), dense @ v
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-
-    def test_dump_round_trip(self, tmp_path):
-        grid = Grid(0.0, 1.0, 15)
-        p = SchemeParams(beta=1.0, lam=2.0, s=1, s1=1)
-        op = assemble_operator(p, grid)
-        F = assemble_rhs(np.ones(grid.M), BoundarySpec(), p, grid)
-        path = tmp_path / "system.tflap"
-        write_system_dump(path, op, F)
-        diag, col, load = read_system_dump(path)
-        np.testing.assert_array_equal(diag, op.diag)
-        np.testing.assert_array_equal(col, op.toeplitz_col)
-        np.testing.assert_array_equal(load, F)
-
-    def test_dump_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 24)
-        with pytest.raises(ValueError):
-            read_system_dump(path)

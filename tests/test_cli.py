@@ -134,6 +134,22 @@ def test_radius_flag_reaches_domain(tmp_path):
     assert rows[0]["M"] == "127"
 
 
+@pytest.mark.parametrize("radius", ["2", "3"])
+def test_log_corrected_rates_at_mesh_width_one_and_above(radius, capsys):
+    # beta = 1 with (s, s1) = (1, 1) reports log-corrected rates.  On (-2, 2)
+    # the coarse level has h = 1, where the rate is undefined; on (-3, 3)
+    # h goes 1.5 -> 0.75, across the sign change of ln h.
+    code = main(["--example", "3", "--beta", "1", "--scheme", "1,1", "--levels", "2..3",
+                 "--radius", radius])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    l2_rate = [cell.strip() for cell in lines[-1].split("|")][4]
+    if radius == "2":
+        assert l2_rate == "--"
+    else:
+        assert float(l2_rate) > 0.0
+
+
 EXIT_TIME = ["--example", "3", "--beta", "1.5", "--lambda", "0", "--scheme", "1,1",
              "--levels", "7..8"]
 

@@ -93,6 +93,15 @@ class TestRates:
         assert rates[0] == pytest.approx(want, rel=1e-12)
         assert rates[0] == pytest.approx(1.0, rel=1e-12)
 
+    def test_log_corrected_across_unit_mesh_width(self):
+        # |ln h| vanishes at h = 1 and changes sign across it: no rate at
+        # h = 1, and the weight |ln h2| / |ln h1| on either side of it.
+        assert compute_rates([1.0, 0.5], [1.0, 0.5], log_corrected=True) == [None]
+        assert compute_rates([1.0, 0.5, 0.2], [2.0, 1.0, 0.5], log_corrected=True) == [None, None]
+        rate = compute_rates([1.0, 0.5], [1.5, 0.75], log_corrected=True)[0]
+        want = math.log(2.0 * abs(math.log(0.75)) / math.log(1.5)) / math.log(2.0)
+        assert rate == pytest.approx(want, rel=1e-12)
+
     def test_zero_error_yields_absent_rate(self):
         assert compute_rates([1e-3, 0.0], [0.1, 0.05]) == [None]
 
