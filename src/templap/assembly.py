@@ -57,8 +57,8 @@ CHEBYSHEV_WEIGHTS = np.array([(-1.0) ** k * math.sin(t) for k, t in enumerate(_T
 class OperatorMatrix:
     """Stiffness matrix in diagonal + symmetric-Toeplitz form.
 
-    ``toeplitz_col[m]`` is the entry at lag m >= 1 (slot 0 is unused and
-    zero); ``diag`` holds the diagonal.  ``tails`` holds each row's kernel
+    ``toeplitz_col[m]`` is the entry at lag m >= 1 (slot 0 must be zero);
+    ``diag`` holds the diagonal.  ``tails`` holds each row's kernel
     tail integrals over both exterior half-lines, in the same units as the
     operator (i.e. scaled by the normalization constant).
     """
@@ -75,14 +75,12 @@ class OperatorMatrix:
 
     @cached_property
     def offdiag_toeplitz(self) -> SymToeplitz:
-        col = self.toeplitz_col.copy()
-        col[0] = 0.0
-        return SymToeplitz(col)
+        if self.toeplitz_col[0] != 0.0:
+            raise ValueError(f"toeplitz_col[0] = {self.toeplitz_col[0]}: lag 0 belongs in diag")
+        return SymToeplitz(self.toeplitz_col)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.offdiag_toeplitz.matvec(v)
-        out += self.diag * np.asarray(v, dtype=float)
-        return out
+        return self.offdiag_toeplitz.matvec(v) + self.diag * np.asarray(v, dtype=float)
 
 
 def offdiag_row_sums(toeplitz_col: np.ndarray) -> np.ndarray:
@@ -180,11 +178,15 @@ def level_tails(params: SchemeParams, grid: Grid) -> np.ndarray:
 
 
 def assemble_operator(params: SchemeParams, grid: Grid) -> OperatorMatrix:
-    """Build the full operator: off-diagonal column, tails, diagonal."""
+    """Build the full operator: off-diagonal column, tails, diagonal (which must be positive)."""
     t = assemble_offdiagonal(params, grid)
     B1 = params.cbeta * level_tails(params, grid)
     tails = B1 + B1[::-1]
     diag = assemble_diagonal(params, grid, t, tails)
+    if not np.all(diag > 0.0):
+        i = int(np.argmin(diag > 0.0))  # the first row that is not positive, NaN included
+        raise ValueError(f"row {i} has diagonal {diag[i]:.3g}, not positive: beta below about "
+                         "1e-15, or lam*h so large that the kernel underflows")
     for arr in (t, tails, diag):
         arr.flags.writeable = False
     return OperatorMatrix(diag=diag, toeplitz_col=t, tails=tails, params=params, grid=grid)

@@ -3,7 +3,8 @@
 A symmetric Toeplitz matrix is determined by its first column; embedding
 that column into a circulant of length >= 2M (next power of two, zero
 padded) diagonalizes the product by FFT, giving O(M log M) matvecs.  The
-embedded spectrum is computed once, at construction.
+embedded spectrum is computed once, at construction, and every product
+multiplies it into rfft(v) in place, spectrum first, at any length.
 """
 
 from __future__ import annotations
@@ -21,16 +22,13 @@ class SymToeplitz:
         self.first_col = col
         M = self.M = col.size
         L = self._embed_len = 1 << (2 * M - 1).bit_length()
-        c = np.zeros(L)
-        c[:M] = col
-        c[L - M + 1:] = col[1:][::-1]
-        self.spectrum = np.fft.rfft(c)  # of the circulant embedding
+        c = np.concatenate((col, np.zeros(L - 2 * M + 1), col[:0:-1]))  # circulant embedding
+        self.spectrum = np.fft.rfft(c)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.M,):
             raise ValueError(f"length mismatch: matrix is {self.M}, vector is {v.shape}")
-        L = self._embed_len
-        # From 256 KiB (J >= 14) numpy elides the temporary, so this rounds as rfft * spectrum.
-        out = np.fft.irfft(self.spectrum * np.fft.rfft(v, n=L), n=L)
-        return out[:self.M]
+        freq = np.fft.rfft(v, n=self._embed_len)
+        np.multiply(self.spectrum, freq, out=freq)
+        return np.fft.irfft(freq, n=self._embed_len)[:self.M]

@@ -66,6 +66,22 @@ class TestMatrixStructure:
         surplus = op.diag + offdiag_row_sums(op.toeplitz_col) - op.tails
         assert np.all(surplus > 0.0)
 
+    @pytest.mark.parametrize("beta,lam,b,M,s", [(1e-20, 1.0, 1.0, 4, 0), (1.5, 300.0, 20.0, 7, 1)])
+    def test_degenerate_operator_gives_a_reason(self, beta, lam, b, M, s):
+        # beta = 1e-20: the diagonal rounds to -2.5e-17 at both ends.
+        # lam h = 750: the whole operator underflows to 0.
+        with pytest.raises(ValueError, match=r"row 0 has diagonal .*beta below about 1e-15"):
+            assemble_operator(SchemeParams(beta=beta, lam=lam, s=s, s1=s), Grid(0.0, b, M))
+
+    @pytest.mark.xfail(strict=True, reason="the (1, 1) pair weights lose their sign within "
+                       "about 2e-13 of beta = 1 (the closed forms divide by beta - 1)")
+    @pytest.mark.parametrize("beta", [1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52])
+    def test_sign_pattern_next_to_beta_one(self, beta):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # beta within 1e-6 of 1
+            op = assemble_operator(SchemeParams(beta=beta, s=1, s1=1), Grid(0.0, 1.0, 209))
+        assert np.all(op.toeplitz_col[1:] < 0.0)
+
     def test_diagonal_palindrome(self):
         grid = Grid(0.0, 1.0, 32)
         for p in sample_params():
