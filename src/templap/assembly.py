@@ -33,8 +33,7 @@ from .coefficients import (
     singular_cell_weight,
 )
 from .core import Grid, SchemeParams
-from .quadrature import (PANEL_POINTS, geometric_breakpoints, panel_quadrature_points,
-                         row_block_quadrature)
+from .quadrature import PANEL_POINTS, geometric_breakpoints, panel_quadrature_points
 from .tails import tail_profile
 from .toeplitz import SymToeplitz
 
@@ -178,7 +177,7 @@ def level_tails(params: SchemeParams, grid: Grid) -> np.ndarray:
 
 
 def assemble_operator(params: SchemeParams, grid: Grid) -> OperatorMatrix:
-    """Build the full operator: off-diagonal column, tails, diagonal (which must be positive)."""
+    """Build the full operator; raises ValueError unless its diagonal is positive and no lag is."""
     t = assemble_offdiagonal(params, grid)
     B1 = params.cbeta * level_tails(params, grid)
     tails = B1 + B1[::-1]
@@ -187,6 +186,11 @@ def assemble_operator(params: SchemeParams, grid: Grid) -> OperatorMatrix:
         i = int(np.argmin(diag > 0.0))  # the first row that is not positive, NaN included
         raise ValueError(f"row {i} has diagonal {diag[i]:.3g}, not positive: beta below about "
                          "1e-15, or lam*h so large that the kernel underflows")
+    if np.any(t > 0.0):
+        m = int(np.argmax(t > 0.0))  # the first positive lag; lags that underflow to 0 stay
+        raise ValueError(f"lag {m} is {t[m]:.3g}, positive: the pair weights cancel at beta within "
+                         "about 1e-12 of 1 with (s, s1) = (1, 1) (use beta = 1.0), or below about "
+                         "1e-13 with (0, 0)")
     for arr in (t, tails, diag):
         arr.flags.writeable = False
     return OperatorMatrix(diag=diag, toeplitz_col=t, tails=tails, params=params, grid=grid)
@@ -217,7 +221,10 @@ def _exterior_loads(boundary: BoundarySpec, params: SchemeParams, grid: Grid):
     rho >= 3 + sqrt(8), so the interpolation error, of order
     rho^-LOAD_NODES, lies below the sums' rounding.  The kernel runs on at
     most LOAD_NODES (1 + ceil(log2(M / LOAD_NODES))) distances instead of
-    2 M, one block of rows at a time in ``row_block_quadrature``'s buffers.
+    2 M, in one grid whose product with a piece's weights gives its sums.
+    From M = LOAD_NODES on the grid has whole groups of 4 rows, so OpenBLAS's
+    dgemv, which orders the last ``rows % 4`` of a product apart, sums every
+    row alike.
     Against mpmath closed forms of problem 2's pieces, over beta in
     0.05..1.95, lam in 0..300 and M in 16..4096, every row reads within
     3.1e-14 relative.  The per-row direct sums this replaces read up to
@@ -251,14 +258,12 @@ def _exterior_loads(boundary: BoundarySpec, params: SchemeParams, grid: Grid):
     nodes = (u + v) / 2.0 + (v - u) / 2.0 * CHEBYSHEV_NODES  # one band per row
     samples = np.concatenate((d[:n], nodes.ravel()))
 
-    def kernel(rows, out, _):
-        # (d + p)^{-1-beta} as exp(-(1+beta) ln(d + p)), in place.
-        np.add(samples[rows, None], p, out=out)
-        np.log(out, out=out)
-        out *= -(1.0 + beta)
-        np.exp(out, out=out)
-
-    F = row_block_quadrature(kernel, (samples.size,), weights)
+    # (d + p)^{-1-beta} as exp(-(1+beta) ln(d + p)), in place.
+    K = np.add.outer(samples, p)
+    np.log(K, out=K)
+    K *= -(1.0 + beta)
+    np.exp(K, out=K)
+    F = np.array([K @ w for w in weights])
     loads = np.empty((2, M))
     loads[:, :n] = F[:, :n]
     values = F[:, n:].reshape(2, -1, LOAD_NODES)

@@ -88,10 +88,8 @@ def row_block_quadrature(integrand, shape: tuple[int, ...], weights: np.ndarray)
     (rows in sl, points) array for its temporaries.  Both are views of
     buffers of BLOCK_BYTES per grid, allocated once per call and reused for
     every block, so only one block's grids exist at a time.  ``weights`` is
-    one vector of ``points`` weights, or a (columns, points) array of
-    several; returns the sums, of shape ``shape`` or ``(columns,) + shape``.
-    Callers are the problem-1 source (two grids, one weight vector) and the
-    exterior loads (one kernel grid, a weight vector per exterior piece).
+    one vector of ``points`` weights; returns the sums, of shape ``shape``.
+    The one caller is the problem-1 source (two grids).
 
     Every block's product with a weight vector runs over whole groups of 4
     rows (the last block is padded with zero rows, whose sums are dropped).
@@ -101,25 +99,19 @@ def row_block_quadrature(integrand, shape: tuple[int, ...], weights: np.ndarray)
     depends only on its own grid values, whatever the block size.
     """
     *lead, rows = shape
-    columns = np.atleast_2d(weights)
-    points = columns.shape[-1]
+    points = weights.size
     whole = max(4, (rows + 3) // 4 * 4)  # rows rounded up to whole groups of 4, at least one
     block = min(max(4, BLOCK_BYTES // (8 * points) // 4 * 4), whole)
     buffers = np.empty((math.prod(lead) + 1, block, points))
     out, scratch = buffers[:-1].reshape(*lead, block, points), buffers[-1]
-    sums = np.empty((len(columns), *lead, whole))
+    sums = np.empty((*lead, whole))
     for lo in range(0, rows, block):
         n = min(block, rows - lo)
         padded = (n + 3) // 4 * 4
         integrand(slice(lo, lo + n), out[..., :n, :], scratch[:n])
         out[..., n:padded, :] = 0.0
-        for w, s in zip(columns, sums):
-            np.matmul(out[..., :padded, :], w, out=s[..., lo:lo + padded])
-    return sums[..., :rows] if weights.ndim > 1 else sums[0, ..., :rows]
-
-
-def gauss_legendre_rule(n: int) -> QuadratureRule:
-    return jacobi_gauss_rule(n, 0.0, 0.0)
+        np.matmul(out[..., :padded, :], weights, out=sums[..., lo:lo + padded])
+    return sums[..., :rows]
 
 
 def geometric_breakpoints(start: float, stop: float, first_width: float) -> np.ndarray:
@@ -137,7 +129,7 @@ def geometric_breakpoints(start: float, stop: float, first_width: float) -> np.n
 
 def panel_quadrature_points(lo: np.ndarray, hi: np.ndarray, n: int):
     """Concatenated Gauss-Legendre points/weights, n per panel [lo_k, hi_k]."""
-    rule = gauss_legendre_rule(n)
+    rule = jacobi_gauss_rule(n, 0.0, 0.0)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     mid = (hi + lo) / 2.0

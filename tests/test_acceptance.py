@@ -38,11 +38,11 @@ from templap import (
 from templap.coefficients import (
     boundary_left_profile,
     coeff_near_diag,
-    coeff_quadrature_oracle,
     pair_sum_profile,
     singular_cell_weight,
 )
 from templap.problems import example2_exterior
+from coefficient_oracle import coeff_quadrature_oracle
 
 # ---------------------------------------------------------------------------
 # Benchmark reference data (problem 1 on (0,1), M = 2^J - 1).
@@ -182,6 +182,11 @@ TABLE5_TEMPERED_ERRORS = {
 EX1_COMBOS = list(THEORY_ORDER)
 LAMS = (0.5, 3.0)
 TOL = 1e-9
+# Criterion 2 compares converged errors: at TOL the (0.5, 1, 1, 0.5) row's
+# J = 14 Linf error reads 1.0% off its published value after 11 iterations,
+# and 1.6e-4 off at 1e-12.  Criterion 5 keeps TOL, which pins the paper's
+# iteration counts.
+CONVERGED_TOL = 1e-12
 
 
 def _report(num, detail):
@@ -249,6 +254,12 @@ def _untempered_endpoint_operator(op):
     return dataclasses.replace(op, diag=op.diag + params.cbeta * (left + left[::-1]))
 
 
+def _converged_errors(op, F, grid):
+    U, rep = pcg_solve(op, F, build_tchan_precond(op), tol=CONVERGED_TOL)
+    assert rep.converged
+    return error_norms(example1_exact(grid.interior), U, grid.h)
+
+
 def test_criterion_2_problem1_error_magnitudes(ex1):
     # The published first-order beta = 1 rows are checked against the
     # untempered-endpoint system that produces them (see TABLE1_ERRORS).
@@ -262,7 +273,8 @@ def test_criterion_2_problem1_error_magnitudes(ex1):
     out_of_band = []
     for key, per_level in sorted(TABLE1_ERRORS.items()):
         for J, targets in sorted(per_level.items()):
-            got_pair = ex1[key][J]["errors"]
+            level = ex1[key][J]
+            got_pair = _converged_errors(level["op"], level["F"], level["grid"])
             for norm, got, want in (("L2", got_pair[0], targets[0]),
                                     ("Linf", got_pair[1], targets[1])):
                 ratio = got / want
@@ -274,11 +286,8 @@ def test_criterion_2_problem1_error_magnitudes(ex1):
     for key, per_level in sorted(TABLE1_UNTEMPERED_ENDPOINT_ERRORS.items()):
         for J, targets in sorted(per_level.items()):
             level = ex1[key][J]
-            op = _untempered_endpoint_operator(level["op"])
-            U, rep = pcg_solve(op, level["F"], build_tchan_precond(op), tol=TOL)
-            assert rep.converged, (key, J)
-            got_pair = error_norms(example1_exact(level["grid"].interior), U,
-                                   level["grid"].h)
+            got_pair = _converged_errors(_untempered_endpoint_operator(level["op"]),
+                                         level["F"], level["grid"])
             for norm, got, want in (("L2", got_pair[0], targets[0]),
                                     ("Linf", got_pair[1], targets[1])):
                 rel = abs(got / want - 1.0)

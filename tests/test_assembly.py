@@ -82,6 +82,40 @@ class TestMatrixStructure:
             op = assemble_operator(SchemeParams(beta=beta, s=1, s1=1), Grid(0.0, 1.0, 209))
         assert np.all(op.toeplitz_col[1:] < 0.0)
 
+    @pytest.mark.parametrize("beta", [1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52])
+    def test_positive_lag_gives_a_reason(self, beta):
+        # At 1 - 2^-52, 178 of the 208 lags are >= 0, the largest +4.18.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # beta within 1e-6 of 1
+            p = SchemeParams(beta=beta, s=1, s1=1)
+        with pytest.raises(ValueError, match=r"lag \d+ is .*positive: .*beta within about 1e-12 "
+                           r"of 1 with \(s, s1\) = \(1, 1\) \(use beta = 1\.0\)"):
+            assemble_operator(p, Grid(0.0, 1.0, 209))
+
+    # Draws reach below 1e-13 and within 2e-13 of 1, where assemble_operator
+    # raises with a stated reason; lags that underflow to 0 are allowed.
+    @settings(derandomize=True, max_examples=40, deadline=None, database=None)
+    @given(beta=st.one_of(st.floats(0.0, 2.0, exclude_min=True, exclude_max=True,
+                                    allow_subnormal=False),
+                          st.floats(0.0, 1e-12, exclude_min=True, allow_subnormal=False),
+                          st.floats(1.0 - 1e-12, 1.0 + 1e-12),
+                          st.sampled_from([1.0 - 2.0 ** -52, 1.0 + 2.0 ** -52]),
+                          st.floats(2.0 - 1e-3, 2.0, exclude_max=True)),
+           lam=st.floats(0.0, 300.0, allow_subnormal=False), M=st.integers(3, 600),
+           both_selectors=st.booleans())
+    def test_sign_pattern_or_a_stated_reason(self, beta, lam, M, both_selectors):
+        s, s1 = (1, 1) if both_selectors else (0, 0) if beta < 1.0 else (0, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # beta within 1e-6 of 1
+            p = SchemeParams(beta=beta, lam=lam, s=s, s1=s1)
+        try:
+            op = assemble_operator(p, Grid(0.0, 1.0, M))
+        except ValueError as err:
+            assert "positive: " in str(err)
+            return
+        assert np.all(op.toeplitz_col[1:] <= 0.0)
+        assert np.all(op.diag > 0.0)
+
     def test_diagonal_palindrome(self):
         grid = Grid(0.0, 1.0, 32)
         for p in sample_params():
@@ -318,25 +352,24 @@ class TestBoundaryLoads:
             np.testing.assert_allclose(got, want, rtol=1e-13)
 
     def test_kernel_cost_is_logarithmic_in_M(self, monkeypatch):
-        # At M = 2^14 the loads sample the kernel at n (1 + ceil(log2(M / n)))
-        # distances at most, not at 2 M, and call g once per load vector.
+        # At M = 2^14 the loads take the kernel's logarithm on one grid of
+        # n (1 + ceil(log2(M / n))) distances at most, not 2 M, by the
+        # points of the one call to g.
         p = SchemeParams(beta=1.5, lam=3.0, s=1, s1=1)
         grid = Grid(0.0, 1.0, 2 ** 14)
         calls = []
         boundary = BoundarySpec(exterior_g=lambda y: calls.append(np.size(y)) or example2_exterior(y),
                                 support=(-0.5, 1.5))
         calls.clear()
-        sweeps = []
-        real = assembly.row_block_quadrature
-        monkeypatch.setattr(assembly, "row_block_quadrature",
-                            lambda integrand, shape, weights:
-                            sweeps.append((shape, weights.shape)) or real(integrand, shape, weights))
+        grids = []
+        log = np.log
+        monkeypatch.setattr(np, "log", lambda x, *args, **kwargs:
+                            grids.append(np.shape(x)) or log(x, *args, **kwargs))
         F = assemble_rhs(np.zeros(grid.M), boundary, p, grid)
         n = assembly.LOAD_NODES
-        (rows,), (columns, points) = sweeps[0][0], sweeps[0][1]
-        assert len(sweeps) == 1 and len(calls) == 1 and columns == 2
+        [(rows, points)] = [shape for shape in grids if len(shape) == 2]
+        assert len(calls) == 1 and calls[0] == points
         assert rows <= n * (1 + math.ceil(math.log2(grid.M / n)))
-        assert calls[0] == points
         assert np.all(F > 0.0)
 
     def test_spec_validation(self):

@@ -10,10 +10,10 @@ from templap.assembly import _boundary_lift_weights
 from templap.coefficients import (
     boundary_left_profile,
     coeff_near_diag,
-    coeff_quadrature_oracle,
     pair_sum_profile,
     singular_cell_weight,
 )
+from coefficient_oracle import coeff_quadrature_oracle
 
 
 def unit_grid(M=15, h=None):

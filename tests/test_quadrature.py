@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from templap.core import gamma_fn
-from templap.quadrature import gauss_legendre_rule, jacobi_gauss_rule
+from templap.quadrature import jacobi_gauss_rule
 
 
 def jacobi_moments(kmax: int, a: float, b: float) -> list:
@@ -42,7 +42,7 @@ def test_weight_sum_matches_zeroth_moment():
 
 
 def test_degree_six_monomial_with_eight_points():
-    rule = gauss_legendre_rule(8)
+    rule = jacobi_gauss_rule(8, 0.0, 0.0)
     assert rule.weights @ rule.nodes ** 6 == pytest.approx(2.0 / 7.0, rel=1e-12)
 
 

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from templap import (BoundarySpec, ExperimentConfig, Grid, SchemeParams, assemble_operator,
-                     assembly, example1_f, materialize_dense, pcg_solve, problems, quadrature,
-                     run_convergence_study, tail_profile, tails)
+from templap import (ExperimentConfig, Grid, SchemeParams, assemble_operator, assembly,
+                     example1_f, materialize_dense, pcg_solve, quadrature, run_convergence_study,
+                     tail_profile, tails)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -269,21 +269,13 @@ class TestStructure:
     @pytest.mark.parametrize("M", [127, 128, 129, 4095])
     @pytest.mark.parametrize("beta, lam, s", [(0.6, 2.5, (0, 0)), (1.4, 0.5, (1, 1))])
     def test_row_blocks_match_one_shot_sums(self, monkeypatch, M, beta, lam, s):
-        # Both callers of row_block_quadrature: the problem-1 source (two
-        # grids, one weight vector) and the exterior loads (one kernel grid,
-        # a weight vector per side).
+        # The one caller of row_block_quadrature: the problem-1 source (two
+        # grids, one weight vector).
         p = SchemeParams(beta=beta, lam=lam, s=s[0], s1=s[1])
         grid = Grid(0.0, 1.0, M)
-        boundary = BoundarySpec(exterior_g=problems.example2_exterior,
-                                support=problems.EXAMPLE2_SUPPORT)
-
-        def sums():
-            return example1_f(p, grid), *assembly._exterior_loads(boundary, p, grid)
-
-        blocked = sums()
+        blocked = example1_f(p, grid)
         monkeypatch.setattr(quadrature, "BLOCK_BYTES", 1 << 30)  # one block for all rows
-        for got, want in zip(blocked, sums()):
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(example1_f(p, grid), blocked)
 
     @pytest.mark.parametrize("M", [7, 127, 128, 4095])
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 1.0)])
@@ -384,6 +376,23 @@ class TestStructure:
         assert stages(banded) == ["none", "none", banded_loads, banded_loads]
         fallback = ["none", "none", "['scipy.linalg']", "['scipy.linalg']"]
         assert stages(without_openblas + banded) == fallback
+
+    def test_studies_load_neither_scipy_nor_numpy_ma(self):
+        # numpy.ma comes in on the first call of np.unique or np.union1d,
+        # which costs a study's first level about 10 ms and 1.7 MB of maxrss.
+        code = ("import sys, templap\n"
+                "from templap import ExperimentConfig, SchemeParams, run_convergence_study\n"
+                "for example in (1, 2, 3):\n"
+                "    run_convergence_study(ExperimentConfig(example=example, levels=(5,),\n"
+                "        params=SchemeParams(beta=0.5, lam=0.0 if example == 3 else 0.5)))\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+                "             or m == 'numpy.ma' or m.startswith('numpy.ma.')))\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out.splitlines() == ["[]"]
 
     def test_domain_errors(self):
         p = params_for(0.5, 1.0)
