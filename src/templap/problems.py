@@ -1,8 +1,8 @@
 """The three benchmark problems: manufactured sources and exact solutions.
 
 Problem 1: u(x) = x^2 (1-x) on (0, 1) with zero exterior data.  The source
-is u's image under the operator, in closed form up to two smooth incomplete
-integrals handled by Gauss-Jacobi (one code path for all lam >= 0).
+is u's image under the operator, closed form in the kernel tails and
+moments: no quadrature, and one code path for all lam >= 0.
 
 Problem 2: exterior data -2x on [-1/2, 0] and 2x - 2 on [1, 3/2], interior
 solution (x - x^2)^2.  The quartic's Taylor expansion is exact, so the source
@@ -23,7 +23,6 @@ import numpy as np
 
 from .assembly import BoundarySpec, level_tails
 from .core import Grid, SchemeParams, gamma_fn
-from .quadrature import GAUSS_JACOBI_POINTS, jacobi_gauss_rule, row_block_quadrature
 from .reference import reference_apply_operator  # noqa: F401  (a call site the benchmark tracer wraps)
 from .tails import expint, log_power, pole_pair, power_series, tail_profile
 
@@ -39,15 +38,16 @@ def example1_f(params: SchemeParams, grid: Grid) -> np.ndarray:
 
     Writes the kernel integral of u as u(x)(tail sum) plus boundary power
     terms plus two incomplete integrals of linear polynomials against
-    e^{-lam t} t^{1-beta}; for beta = 1 the kernel powers collapse to
-    elementary integrals plus a difference of exponential integral tails.
-    The tails are the level's ``level_tails``, which the diagonal reuses.
-    Every term, the tails included, is evaluated once on the distances x
-    to the left endpoint and reversed for the distances 1 - x to the right
-    one: both incomplete integrals share one e^{-lam t} grid per row block,
-    and beta = 1 takes one E_1 sweep (``expint``).  Where h is a power of
-    two, 1 - x is exactly x reversed; elsewhere the two differ by rounding.
-    Scaled by the normalization constant, as the operator is.
+    e^{-lam t} t^{1-beta}, c m_2 - m_3 and m_3 + c m_2 in the kernel moments
+    (``_moments``); for beta = 1 the kernel powers collapse to elementary
+    integrals plus a difference of exponential integral tails.  The tails
+    are the level's ``level_tails``, which the diagonal reuses and the
+    moments start from.  Every term is evaluated once on the distances x to
+    the left endpoint and reversed for the distances 1 - x to the right one:
+    one moment sweep serves both incomplete integrals, and beta = 1 takes
+    one E_1 sweep (``expint``).  Where h is a power of two, 1 - x is exactly
+    x reversed; elsewhere the two differ by rounding.  Scaled by the
+    normalization constant, as the operator is.
     """
     if (grid.a, grid.b) != (0.0, 1.0):
         raise ValueError("the manufactured source for problem 1 lives on (0, 1)")
@@ -59,29 +59,16 @@ def example1_f(params: SchemeParams, grid: Grid) -> np.ndarray:
     tails = T + T[::-1]
 
     if not params.is_log_case:
-        # int_0^1 g(t) t^{1-beta} dt = sum wL g(tL); rescaled by d for int_0^d.
-        rule = jacobi_gauss_rule(GAUSS_JACOBI_POINTS, 0.0, 1.0 - beta)
-        tL = (1.0 / 2.0) * (1.0 + rule.nodes)
-        wL = (1.0 / 2.0) ** ((1.0 - beta) + 1.0) * rule.weights
+        # int_0^d (c - t) e^{-lam t} t^{1-beta} dt = c m_2(d) - m_3(d) on d = x;
+        # the right side's (t + c) gives m_3 + c m_2, on 1 - x as x reversed.
+        m2, m3, _ = _moments(x, T, params)
         cL = 3.0 * x - 1.0 + lam * up / (1.0 - beta)
-        cR = (3.0 * x - 1.0 - lam * up / (1.0 - beta))[::-1]  # the right side runs over x reversed
-
-        def integrands(rows, out, t):
-            # (cL - t) e^{-lam t} and (t + cR) e^{-lam t} on t = x tL, one
-            # exponential grid for both: the right side's rows are x reversed.
-            left, right = out
-            np.multiply.outer(x[rows], tL, out=t)
-            np.exp(np.multiply(t, -lam, out=left), out=left)
-            np.multiply(np.add(t, cR[rows, None], out=right), left, out=right)
-            np.multiply(np.subtract(cL[rows, None], t, out=t), left, out=left)
-
-        scale = x ** (2.0 - beta)
-        left, right = scale * row_block_quadrature(integrands, (2, x.size), wL)
+        cR = (3.0 * x - 1.0 - lam * up / (1.0 - beta))[::-1]
         power = x ** (1.0 - beta) * np.exp(-lam * x)
         f = (u * tails
              + up / (1.0 - beta) * (power - power[::-1])
-             + left
-             + right[::-1])
+             + (cL * m2 - m3)
+             + (m3 + cR * m2)[::-1])
     else:
         if lam == 0.0:
             moment0 = x

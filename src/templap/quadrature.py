@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,13 +21,6 @@ from .core import gamma_fn
 # keeps only the bits of p that b + p keeps.
 GAUSS_JACOBI_POINTS = 64
 PANEL_POINTS = 16
-
-# Bytes per grid buffer of ``row_block_quadrature``: 512 rows of 64 points.
-# The buffers are allocated once per sweep, not once per block, so they need
-# not stay under glibc's 128 KiB mmap threshold; on a 2-vCPU x86-64 host a
-# J = 14 problem-1 source sweep ran 15-20% faster in blocks of 512 rows than
-# of 128.
-BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -76,42 +68,6 @@ def jacobi_gauss_rule(n: int, alpha_w: float, beta_w: float) -> QuadratureRule:
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(nodes=nodes, weights=weights)
-
-
-def row_block_quadrature(integrand, shape: tuple[int, ...], weights: np.ndarray) -> np.ndarray:
-    """Row sums against ``weights`` of a grid of integrand values, in row blocks.
-
-    The grid has shape ``shape + (points,)``: ``shape`` is (rows,), or
-    (grids, rows) for several grids over the same rows.  ``integrand(sl,
-    out, scratch)`` writes the grid rows in slice ``sl`` into ``out``, of
-    shape ``shape[:-1] + (rows in sl, points)``; ``scratch`` is one more
-    (rows in sl, points) array for its temporaries.  Both are views of
-    buffers of BLOCK_BYTES per grid, allocated once per call and reused for
-    every block, so only one block's grids exist at a time.  ``weights`` is
-    one vector of ``points`` weights; returns the sums, of shape ``shape``.
-    The one caller is the problem-1 source (two grids).
-
-    Every block's product with a weight vector runs over whole groups of 4
-    rows (the last block is padded with zero rows, whose sums are dropped).
-    OpenBLAS's dgemv sums every full group of 4 rows alike but the last
-    ``n % 4`` rows of a product in another order, so without padding a
-    row's sum would depend on where the sweep ends.  With it, a row's sum
-    depends only on its own grid values, whatever the block size.
-    """
-    *lead, rows = shape
-    points = weights.size
-    whole = max(4, (rows + 3) // 4 * 4)  # rows rounded up to whole groups of 4, at least one
-    block = min(max(4, BLOCK_BYTES // (8 * points) // 4 * 4), whole)
-    buffers = np.empty((math.prod(lead) + 1, block, points))
-    out, scratch = buffers[:-1].reshape(*lead, block, points), buffers[-1]
-    sums = np.empty((*lead, whole))
-    for lo in range(0, rows, block):
-        n = min(block, rows - lo)
-        padded = (n + 3) // 4 * 4
-        integrand(slice(lo, lo + n), out[..., :n, :], scratch[:n])
-        out[..., n:padded, :] = 0.0
-        np.matmul(out[..., :padded, :], weights, out=sums[..., lo:lo + padded])
-    return sums[..., :rows]
 
 
 def geometric_breakpoints(start: float, stop: float, first_width: float) -> np.ndarray:

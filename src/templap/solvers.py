@@ -7,7 +7,9 @@ requested tolerance; preconditioning only redirects the search directions.
 Hitting the iteration cap, or a search direction along which the operator
 is not positive definite, returns the current iterate with the report's
 ``reason`` saying so, never an exception.  A non-finite right-hand side is
-rejected before iterating.  The dense baseline is ``np.linalg.solve`` on
+rejected before iterating; a finite one is scaled by a power of two to a
+largest entry in [1/2, 1), so that no norm or inner product under- or
+overflows.  The dense baseline is ``np.linalg.solve`` on
 ``assembly.materialize_dense``.
 
 The solve holds the OpenBLAS that numpy links to one thread in the calling
@@ -122,6 +124,10 @@ def pcg_solve(op, F, precond, tol: float = 1e-9, max_iter: int | None = None):
     if max_iter is None:
         max_iter = 4 * F.size + 100
 
+    # A power of two scales every iterate exactly; x is scaled back on return.
+    e = math.frexp(float(np.max(np.abs(F), initial=0.0)))[1]
+    F = np.ldexp(F, -e)
+
     start = time.perf_counter()
     x = np.zeros_like(F)
     r = F.copy()
@@ -157,4 +163,5 @@ def pcg_solve(op, F, precond, tol: float = 1e-9, max_iter: int | None = None):
         rz = rz_new
     # Breakdown leaves the loop before k reaches the cap.
     reason = "converged" if converged else "max_iter" if k >= max_iter else "breakdown"
-    return x, SolveReport(k, np.asarray(residuals), time.perf_counter() - start, reason)
+    return np.ldexp(x, e), SolveReport(k, np.asarray(residuals), time.perf_counter() - start,
+                                       reason)

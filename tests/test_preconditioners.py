@@ -155,6 +155,31 @@ class TestCirculant:
         with pytest.raises(ValueError, match="index"):
             build_tchan_precond(doctored)
 
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(beta=st.floats(0.0, 2.0, exclude_min=True, exclude_max=True),
+           lam=st.floats(0.0, 300.0, allow_subnormal=False), M=st.integers(3, 400),
+           both_selectors=st.booleans())
+    def test_circulant_route_anywhere(self, beta, lam, M, both_selectors):
+        # Either a ValueError that says why, or a positive spectrum and a
+        # solve that reaches the dense solution.
+        s, s1 = (1, 1) if both_selectors else (0, 0) if beta < 1.0 else (0, 1)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # beta within 1e-6 of 1
+                op = assemble_operator(SchemeParams(beta=beta, lam=lam, s=s, s1=s1),
+                                       Grid(0.0, 1.0, M))
+            C = build_tchan_precond(op)
+        except ValueError as err:
+            assert str(err)
+            return
+        assert np.all(C.spectrum > 0.0)
+        F = np.linspace(1.0, 2.0, M)
+        x, rep = pcg_solve(op, F, C, tol=1e-12)
+        want = np.linalg.solve(materialize_dense(op), F)
+        assert rep.converged, rep.reason
+        # Max norms: at beta = 3e-246 the solution reaches 1.6e248.
+        assert np.max(np.abs(x - want)) <= 1e-6 * np.max(np.abs(want))
+
     def test_eigenvalue_clustering_quantified(self):
         op = example_op(beta=0.5, lam=0.5, M=255)
         C = build_tchan_precond(op)

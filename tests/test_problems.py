@@ -25,7 +25,6 @@ from templap import (
     reference_apply_operator,
 )
 from templap import problems, tail_profile
-from templap.quadrature import GAUSS_JACOBI_POINTS, jacobi_gauss_rule, row_block_quadrature
 from templap.assembly import _exterior_loads
 from templap.problems import EXAMPLE2_SUPPORT, example2_extension
 from templap.tails import expint
@@ -101,24 +100,17 @@ def two_sweep_example1_f(params, grid):
     up = 2.0 * x - 3.0 * x * x
     tails = tail_profile(x, params) + tail_profile(1.0 - x, params)
     if not params.is_log_case:
-        rule = jacobi_gauss_rule(GAUSS_JACOBI_POINTS, 0.0, 1.0 - beta)
-        tL = (1.0 / 2.0) * (1.0 + rule.nodes)
-        wL = (1.0 / 2.0) ** ((1.0 - beta) + 1.0) * rule.weights
+        def moments(d):
+            return problems._moments(d, tail_profile(d, params), params)
 
-        def incomplete(d, const, sign):
-            def integrand(sl, out, scratch):
-                t = np.multiply.outer(d[sl], tL)
-                out[...] = (sign * t + const[sl, None]) * np.exp(-lam * t)
-
-            return d ** (2.0 - beta) * row_block_quadrature(integrand, (d.size,), wL)
-
+        (m2L, m3L, _), (m2R, m3R, _) = moments(x), moments(1.0 - x)
         cL = 3.0 * x - 1.0 + lam * up / (1.0 - beta)
         cR = 3.0 * x - 1.0 - lam * up / (1.0 - beta)
         f = (u * tails
              + up / (1.0 - beta) * (x ** (1.0 - beta) * np.exp(-lam * x)
                                     - (1.0 - x) ** (1.0 - beta) * np.exp(-lam * (1.0 - x)))
-             + incomplete(x, cL, -1.0)
-             + incomplete(1.0 - x, cR, +1.0))
+             + (cL * m2L - m3L)
+             + (m3R + cR * m2R))
     else:
         if lam == 0.0:
             moment0 = lambda d: d

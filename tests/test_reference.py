@@ -38,16 +38,27 @@ def test_annihilates_constants():
                 assert abs(val) < 1e-10  # exponential tempering kills the tail
 
 
-@pytest.mark.parametrize("beta,lam,s,s1", [
-    (0.5, 3.0, 0, 0), (0.5, 0.5, 1, 1), (1.5, 0.5, 1, 1),
-    (1.5, 3.0, 0, 1), (1.0, 2.0, 1, 1), (1.0, 0.0, 0, 1),
+def cubic_second_difference(x, t):
+    """Exact 2u(x) - u(x-t) - u(x+t) for u = x^2 (1 - x) (x+-t inside)."""
+    return -(2.0 - 6.0 * x) * t * t
+
+
+@pytest.mark.parametrize("beta,lam,s,s1,rtol", [
+    (0.5, 3.0, 0, 0, 3e-15), (0.5, 0.5, 1, 1, 3e-15), (1.5, 0.5, 1, 1, 3e-15),
+    (1.5, 3.0, 0, 1, 3e-15), (1.0, 2.0, 1, 1, 3e-15), (1.0, 0.0, 0, 1, 3e-15),
+    (0.5, 100.0, 1, 1, 2e-14), (0.9, 100.0, 1, 1, 1.5e-13), (0.999, 100.0, 1, 1, 1.2e-11),
+    (1.001, 100.0, 1, 1, 2.5e-11), (1.5, 100.0, 1, 1, 1.6e-14),
 ])
-def test_agrees_with_manufactured_source_route(beta, lam, s, s1):
+def test_agrees_with_manufactured_source_route(beta, lam, s, s1, rtol):
+    # Relative to max|f|, about twice the largest gap over the nodes at
+    # M = 63.  Near beta = 1 at lam = 100 the source subtracts terms of
+    # order lam / |1 - beta| times larger than f itself.
     p = SchemeParams(beta=beta, lam=lam, s=s, s1=s1)
-    grid = Grid(0.0, 1.0, 31)
+    grid = Grid(0.0, 1.0, 63)
     closed = example1_f(p, grid)
-    direct = reference_apply_operator(extended_cubic, grid.interior, p, 0.0, 1.0)
-    np.testing.assert_allclose(direct, closed, atol=1e-8)
+    direct = reference_apply_operator(extended_cubic, grid.interior, p, 0.0, 1.0,
+                                      second_difference=cubic_second_difference)
+    assert np.max(np.abs(closed - direct)) <= rtol * np.max(np.abs(direct))
 
 
 def test_exit_time_solution_maps_to_unit_source():

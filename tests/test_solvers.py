@@ -11,6 +11,7 @@ from templap import (
     SchemeParams,
     assemble_operator,
     build_tchan_precond,
+    example1_f,
     materialize_dense,
     pcg_solve,
 )
@@ -137,6 +138,21 @@ class TestPCG:
         assert not rep.converged and rep.reason == "breakdown"
         assert rep.iterations == 0 and len(rep.relative_residuals) == 0
         np.testing.assert_array_equal(U, np.zeros(8))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-160, 1e-100, 1e100, 1e160, 1e300])
+    @pytest.mark.parametrize("route", ["cg", "tchan"])
+    def test_tiny_and_huge_right_hand_sides(self, route, scale):
+        # At these magnitudes ||F||, r.z and p.Ap under- or overflow unless
+        # F is scaled first; the solve must match the unscaled one.
+        p = SchemeParams(beta=1.5, lam=0.5, s=1, s1=1)
+        grid = Grid(0.0, 1.0, 255)
+        op = assemble_operator(p, grid)
+        precond = build_tchan_precond(op) if route == "tchan" else None
+        F = example1_f(p, grid)
+        want, want_rep = pcg_solve(op, F, precond)
+        got, rep = pcg_solve(op, scale * F, precond)
+        assert rep.converged and rep.iterations == want_rep.iterations
+        assert np.max(np.abs(got / scale - want)) <= 2e-13 * np.max(np.abs(want))
 
     def test_openblas_held_to_one_thread_during_the_solve(self):
         # Each setter call returns the calling thread's previous pool size:

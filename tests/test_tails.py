@@ -14,8 +14,7 @@ import pytest
 import scipy.integrate
 
 from templap import (ExperimentConfig, Grid, SchemeParams, assemble_operator, assembly,
-                     example1_f, materialize_dense, pcg_solve, quadrature, run_convergence_study,
-                     tail_profile, tails)
+                     materialize_dense, pcg_solve, run_convergence_study, tail_profile, tails)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -265,17 +264,6 @@ class TestStructure:
         assert len(sweeps) == 3
         assert not T.flags.writeable
         np.testing.assert_array_equal(T, tail_profile(Grid(0.0, 1.0, 63).interior, p))
-
-    @pytest.mark.parametrize("M", [127, 128, 129, 4095])
-    @pytest.mark.parametrize("beta, lam, s", [(0.6, 2.5, (0, 0)), (1.4, 0.5, (1, 1))])
-    def test_row_blocks_match_one_shot_sums(self, monkeypatch, M, beta, lam, s):
-        # The one caller of row_block_quadrature: the problem-1 source (two
-        # grids, one weight vector).
-        p = SchemeParams(beta=beta, lam=lam, s=s[0], s1=s[1])
-        grid = Grid(0.0, 1.0, M)
-        blocked = example1_f(p, grid)
-        monkeypatch.setattr(quadrature, "BLOCK_BYTES", 1 << 30)  # one block for all rows
-        np.testing.assert_array_equal(example1_f(p, grid), blocked)
 
     @pytest.mark.parametrize("M", [7, 127, 128, 4095])
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (-1.0, 1.0)])
