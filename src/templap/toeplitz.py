@@ -6,12 +6,11 @@ padded) diagonalizes the product by FFT, giving O(M log M) matvecs.  The
 embedded spectrum is computed once, at construction, and every product
 multiplies it into rfft(v) in place, spectrum first, at any length.
 
-Construction also allocates 4L floats (L the embedding length) and frees
-them untouched.  Freeing a mapped block raises glibc's mmap threshold to its
-size (the trim threshold to twice that), so the FFT buffers of every later
-product come from the heap.  Without it (glibc 2.36, 2-vCPU x86-64) each
-product at M = 16383 took 320 minor page faults and ran 1.7-1.9x slower;
-2L floats still left faults.  No ``mallopt`` or ``MALLOC_*`` is set.
+From L = 4096 on (L the embedding length), construction allocates 4L floats
+and frees them untouched: freeing a mapped block raises glibc's mmap threshold
+to its size (the trim threshold to twice), so later products' FFT buffers come
+from the heap; smaller blocks are not mapped.  Without it (glibc 2.36, 2-vCPU
+x86-64) a product at M = 16383 took 320 page faults and ran 1.7-1.9x slower.
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ class SymToeplitz:
         L = self._embed_len = 1 << (2 * M - 1).bit_length()
         c = np.concatenate((col, np.zeros(L - 2 * M + 1), col[:0:-1]))  # circulant embedding
         self.spectrum = np.fft.rfft(c)
-        np.empty(4 * L)  # freed untouched: raises glibc's mmap threshold (module docstring)
+        if L >= 4096:  # 4L floats reach glibc's default 128 KiB mmap threshold
+            np.empty(4 * L)  # freed untouched: raises the threshold (module docstring)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
