@@ -185,7 +185,8 @@ def assemble_operator(params: SchemeParams, grid: Grid) -> OperatorMatrix:
     if not np.all(diag > 0.0):
         i = int(np.argmin(diag > 0.0))  # the first row that is not positive, NaN included
         raise ValueError(f"row {i} has diagonal {diag[i]:.3g}, not positive: beta below about "
-                         "1e-15, or lam*h so large that the kernel underflows")
+                         "1e-15 with (s, s1) = (0, 0), or entries that underflow (lam*h large, or "
+                         f"beta near the smallest float); here (s, s1) = {(params.s, params.s1)}")
     if np.any(t > 0.0):
         m = int(np.argmax(t > 0.0))  # the first positive lag; lags that underflow to 0 stay
         raise ValueError(f"lag {m} is {t[m]:.3g}, positive: the pair weights cancel at beta within "

@@ -121,6 +121,11 @@ def c_beta_const(params: SchemeParams) -> float:
         beta * Gamma((1+beta)/2) / (2^{1-beta} sqrt(pi) Gamma(1 - beta/2)),
 
     otherwise Gamma(1/2) / (2 sqrt(pi) |Gamma(-beta)|).
+
+    Gamma here is the Lanczos ``gamma_fn`` (this is its only caller), not
+    ``math.gamma``: every assembled operator carries this constant, and the
+    benchmark's golden errors pin its bits.  An exact Gamma moves it by about
+    2 ulp, which takes those errors past the gate's tolerance (ROADMAP 14b).
     """
     beta = params.beta
     if params.lam == 0.0 or beta == 1.0:

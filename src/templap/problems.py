@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from .assembly import BoundarySpec, level_tails
-from .core import Grid, SchemeParams, gamma_fn
+from .core import Grid, SchemeParams
 from .reference import reference_apply_operator  # noqa: F401  (a call site the benchmark tracer wraps)
 from .tails import expint, log_power, pole_pair, power_series, tail_profile
 
@@ -258,19 +258,19 @@ def example3_exact(beta: float, r: float, x):
     x = np.asarray(x, dtype=float)
     if np.any(np.abs(x) > r):
         raise ValueError("points must lie inside [-r, r]")
-    c = math.sqrt(math.pi) / (2.0 ** beta * gamma_fn(1.0 + beta / 2.0)
-                              * gamma_fn(0.5 + beta / 2.0))
+    c = math.sqrt(math.pi) / (2.0 ** beta * math.gamma(1.0 + beta / 2.0)
+                              * math.gamma(0.5 + beta / 2.0))
     out = c * np.maximum(r * r - x * x, 0.0) ** (beta / 2.0)
     return out if out.ndim else float(out)
 
 
 def example3_setup(params: SchemeParams, grid: Grid):
-    """Constant unit source and absorbing boundary; exact values iff lam = 0."""
+    """Constant unit source and absorbing boundary; exact values iff lam = 0, on any (a, b)."""
     f = np.ones(grid.M)
     boundary = BoundarySpec()
     if params.lam == 0.0:
-        r = grid.b
-        exact = example3_exact(params.beta, r, grid.interior)
+        exact = example3_exact(params.beta, (grid.b - grid.a) / 2.0,
+                               grid.interior - (grid.a + grid.b) / 2.0)
     else:
         exact = None  # no closed form: use successive refinement
     return f, boundary, exact

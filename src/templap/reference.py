@@ -65,14 +65,14 @@ def reference_apply_operator(
     beta, lam = params.beta, params.lam
     delta = np.minimum(x - a, b - x)
 
-    rule = jacobi_gauss_rule(GAUSS_JACOBI_POINTS, 0.0, 1.0 - beta)
-    t = (delta[:, None] / 2.0) * (1.0 + rule.nodes)
+    nodes, weights = jacobi_gauss_rule(GAUSS_JACOBI_POINTS, 1.0 - beta)
+    t = (delta[:, None] / 2.0) * (1.0 + nodes)
     ux = np.asarray(u(x), dtype=float)
     if second_difference is None:
         sd = 2.0 * ux[:, None] - u(x[:, None] + t) - u(x[:, None] - t)
     else:
         sd = np.asarray(second_difference(x[:, None], t), dtype=float)
-    near = (delta / 2.0) ** (2.0 - beta) * ((sd / (t * t) * np.exp(-lam * t)) @ rule.weights)
+    near = (delta / 2.0) ** (2.0 - beta) * ((sd / (t * t) * np.exp(-lam * t)) @ weights)
 
     far = 2.0 * ux * tail_profile(delta, params)
     kinks = np.array([a, b] + list(support or ()))

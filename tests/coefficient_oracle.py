@@ -39,9 +39,9 @@ def coeff_quadrature_oracle(i: int, k: int, kind: str, params: SchemeParams,
     beta, s = params.beta, params.s
     xg = grid.nodes
     x_i, y0, y1 = xg[i], xg[k - 1], xg[k]
-    rule = jacobi_gauss_rule(ORACLE_POINTS, 0.0, 0.0)
-    y = (y1 + y0) / 2.0 + (y1 - y0) / 2.0 * rule.nodes
+    nodes, weights = jacobi_gauss_rule(ORACLE_POINTS, 0.0)
+    y = (y1 + y0) / 2.0 + (y1 - y0) / 2.0 * nodes
     hat = (y1 - y) if kind in ("A1", "A3") else (y - y0)
     dist = (x_i - y) if kind in ("A1", "A2") else (y - x_i)
     vals = hat * dist ** (s - 1.0 - beta)
-    return (y1 - y0) / 2.0 * float(rule.weights @ vals) / h ** (s + 1.0)
+    return (y1 - y0) / 2.0 * float(weights @ vals) / h ** (s + 1.0)

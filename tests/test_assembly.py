@@ -57,7 +57,9 @@ def direct_loads(boundary, params, grid):
 
 
 class TestMatrixStructure:
-    @pytest.mark.parametrize("p", sample_params(), ids=lambda p: f"b{p.beta}l{p.lam}s{p.s}{p.s1}")
+    # (1, 1) keeps a positive diagonal far below beta = 1e-15, where (0, 0) does not.
+    @pytest.mark.parametrize("p", sample_params() + [SchemeParams(beta=1e-20, lam=1.0, s=1, s1=1)],
+                             ids=lambda p: f"b{p.beta}l{p.lam}s{p.s}{p.s1}")
     def test_m_matrix_sign_pattern_and_dominance(self, p):
         grid = Grid(0.0, 1.0, 63)
         op = assemble_operator(p, grid)
@@ -70,7 +72,8 @@ class TestMatrixStructure:
     def test_degenerate_operator_gives_a_reason(self, beta, lam, b, M, s):
         # beta = 1e-20: the diagonal rounds to -2.5e-17 at both ends.
         # lam h = 750: the whole operator underflows to 0.
-        with pytest.raises(ValueError, match=r"row 0 has diagonal .*beta below about 1e-15"):
+        with pytest.raises(ValueError, match=rf"row 0 has diagonal .*beta below about 1e-15.*; "
+                           rf"here \(s, s1\) = \({s}, {s}\)"):
             assemble_operator(SchemeParams(beta=beta, lam=lam, s=s, s1=s), Grid(0.0, b, M))
 
     @pytest.mark.xfail(strict=True, reason="the (1, 1) pair weights lose their sign within "

@@ -282,6 +282,17 @@ class TestProblem3:
         _, _, exact1 = example3_setup(SchemeParams(beta=0.5, lam=2.0, s=0, s1=0), grid)
         assert exact1 is None
 
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.0, 2.0)])
+    def test_setup_exact_on_any_interval(self, a, b):
+        # The exit time depends on the distance to the midpoint only, so a
+        # shifted interval has the same exact values, and a solve meets them.
+        p, grid = SchemeParams(beta=1.5, lam=0.0, s=1, s1=1), Grid(a, b, 255)
+        f, _, exact = example3_setup(p, grid)
+        np.testing.assert_allclose(exact, example3_exact(1.5, 1.0, Grid(-1.0, 1.0, 255).interior),
+                                   rtol=0, atol=1e-15)
+        U = np.linalg.solve(materialize_dense(assemble_operator(p, grid)), f)
+        assert np.max(np.abs(U - exact)) < 3e-3  # 2.6e-3 at M = 255
+
     def test_normalization_required_for_convergence(self):
         # With the constant source fixed, only the normalized operator
         # converges to the closed form; dropping the constant leaves an O(1)

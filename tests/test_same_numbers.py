@@ -1,4 +1,4 @@
-"""The golden gate share of tools/same_numbers.py, on synthetic levels."""
+"""The golden gate shares and verdict of tools/same_numbers.py, on synthetic levels."""
 
 import importlib.util
 import math
@@ -43,61 +43,59 @@ def test_a_level_without_a_golden_value_has_no_share():
     assert math.isnan(share)
 
 
-def test_summary_gives_each_gated_group_its_worst_share():
-    def shares(level):
-        return same_numbers.gate_shares(level, GOLDEN, TOLERANCES)
+def shares(level):
+    return same_numbers.gate_shares(level, GOLDEN, TOLERANCES)
 
-    moved_levels = [("a J=12", shares(moved(12, l2_err=2.0e-6 * (1 + 0.3e-4), iterations=31)),
-                     shares(moved(12)), 1),
-                    ("a J=13", shares(moved(13, linf_err=2.0e-6 * (1 - 0.7e-4),
-                                            l2_rate=1.0 + 0.2e-3)), shares(moved(13)), 0),
-                    ("b J=14", None, None, None)]  # no golden value: in no group and not counted
-    lines = same_numbers.summary(moved_levels)
+
+def entry(label, level, parent=None, unconverged=False):
+    """A differing level as main() passes it to summary()."""
+    now, before = shares(level), shares(parent or moved(level["J"]))
+    return (label, now, before, same_numbers.over_gate(now, before, unconverged))
+
+
+def test_summary_gives_each_gated_group_its_worst_share():
+    lines = same_numbers.summary([
+        entry("a J=12", moved(12, l2_err=2.0e-6 * (1 + 0.3e-4), iterations=31)),
+        entry("a J=13", moved(13, linf_err=2.0e-6 * (1 - 0.7e-4), l2_rate=1.0 + 0.2e-3)),
+        ("b J=14", None, None, [])])  # no golden value: in no group and not counted
     assert lines == ["worst errors share 0.700 at a J=13 (linf_err)",
                      "worst rates share 0.200 at a J=13 (l2_rate)",
                      "worst iterations share 1.000 at a J=12 (iterations)",
-                     "1 differing levels reached share >= 1 under the change (0 with fewer "
-                     "iterations than golden, 1 with more, 0 with as many), "
-                     "0 more were at share >= 1 at the parent"]
+                     "0 differing levels newly over the gate, 0 more were over it at the parent"]
 
 
-def test_summary_counts_a_level_already_at_the_limit_apart():
-    # Golden 30 iterations: a parent at 31 already uses the whole tolerance,
-    # so a change that moves only that level's errors, or keeps it at 31,
-    # reaches nothing; one that takes it to 32, or moves another field past
-    # 1, does.
-    def shares(level):
-        return same_numbers.gate_shares(level, GOLDEN, TOLERANCES)
+def test_share_one_passes_and_above_one_is_over_the_gate():
+    # Golden 30 iterations: one iteration off uses the whole tolerance and
+    # passes the gate, two do not.
+    assert same_numbers.over_gate(shares(moved(12, iterations=31)), shares(moved(12)), False) == []
+    assert same_numbers.over_gate(shares(moved(12, iterations=29)), shares(moved(12)), False) == []
+    assert same_numbers.over_gate(shares(moved(12, iterations=32)), shares(moved(12)), False) == [
+        "iterations share 2.000, parent 0.000"]
+    assert same_numbers.over_gate(shares(moved(13, l2_rate=1.0 + 2e-3, iterations=28)),
+                                  shares(moved(13)), False) == [
+        "l2_rate share 2.000, parent 0.000", "iterations share 2.000, parent 0.000"]
 
-    at_limit = shares(moved(12, iterations=31))
+
+def test_an_unconverged_solve_is_over_the_gate():
+    assert same_numbers.over_gate(shares(moved(12)), shares(moved(12)), True) == ["unconverged"]
+    assert same_numbers.over_gate(None, None, True) == ["unconverged"]  # no golden value
+
+
+def test_summary_counts_a_level_already_over_the_gate_apart():
+    # Golden 30 iterations: a parent at 32 is already over the gate, so a
+    # change that moves only that level's errors, or keeps it at 32, is not
+    # newly over it; one that takes it to 33, or moves another field past
+    # 1, is.
+    at_parent = moved(12, iterations=32)
     lines = same_numbers.summary([
-        ("held", shares(moved(12, iterations=31, l2_err=2.0e-6 * (1 + 0.3e-4))), at_limit, 1),
-        ("further", shares(moved(12, iterations=32)), at_limit, 2),
-        ("other field", shares(moved(12, iterations=31, l2_rate=1.0)), at_limit, 1),
-        ("back", shares(moved(12, iterations=30)), at_limit, 0),
+        entry("held", moved(12, iterations=32, l2_err=2.0e-6 * (1 + 0.3e-4)), at_parent),
+        entry("further", moved(12, iterations=33), at_parent),
+        entry("other field", moved(12, iterations=32, l2_rate=1.0), at_parent),
+        entry("back", moved(12, iterations=30), at_parent),
     ])
-    assert lines[-1] == ("2 differing levels reached share >= 1 under the change (0 with fewer "
-                         "iterations than golden, 2 with more, 0 with as many), "
-                         "1 more were at share >= 1 at the parent")
-
-
-def test_summary_splits_the_reached_levels_by_the_sign_of_their_iteration_change():
-    # One iteration fewer than golden and one more use the same share; the
-    # summary tells them apart, and a level that reaches 1 through another
-    # field at golden's count goes to "as many".
-    def shares(level):
-        return same_numbers.gate_shares(level, GOLDEN, TOLERANCES)
-
-    def entry(level):
-        return (f"J={level['J']}", shares(level), shares(moved(level["J"])),
-                same_numbers.iteration_change(level, GOLDEN))
-
-    lines = same_numbers.summary([entry(moved(13, iterations=29)), entry(moved(12, iterations=29)),
-                                  entry(moved(12, iterations=31)),
-                                  entry(moved(13, l2_rate=1.0 + 2e-3))])
-    assert lines[-1] == ("4 differing levels reached share >= 1 under the change (2 with fewer "
-                         "iterations than golden, 1 with more, 1 with as many), "
-                         "0 more were at share >= 1 at the parent")
+    assert lines[3:] == ["2 differing levels newly over the gate, 1 more were over it at the parent",
+                         "newly over the gate: further (iterations share 3.000, parent 2.000)",
+                         "newly over the gate: other field (l2_rate share inf, parent 0.000)"]
 
 
 def test_iteration_change_is_signed_against_golden():
@@ -108,30 +106,55 @@ def test_iteration_change_is_signed_against_golden():
     assert same_numbers.iteration_change(moved(12), None) is None
 
 
-def test_each_differing_level_prints_its_iteration_change(monkeypatch, capsys):
-    results = {"parent": {"w": {"a": [moved(12), moved(13)]}},
-               "change": {"w": {"a": [moved(12, iterations=29), moved(13, iterations=31)]}}}
+def run_main(monkeypatch, parent_levels, change_levels):
+    results = {"parent": {"w": {"a": parent_levels}}, "change": {"w": {"a": change_levels}}}
 
     def run_all(checkout):
         return {"results": results[checkout.name], "golden": {"a": GOLDEN},
                 "tolerances": TOLERANCES}
 
     monkeypatch.setattr(same_numbers, "run_all", run_all)
-    assert same_numbers.main(["--parent", "parent", "--change", "change"]) == 1
+    return same_numbers.main(["--parent", "parent", "--change", "change"])
+
+
+def test_exits_0_when_every_level_is_equal(monkeypatch, capsys):
+    assert run_main(monkeypatch, [moved(12), moved(13)], [moved(12), moved(13)]) == 0
+    assert "2 levels compared, 0 differ" in capsys.readouterr().out
+
+
+def test_exits_1_within_the_gate_and_prints_each_iteration_change(monkeypatch, capsys):
+    assert run_main(monkeypatch, [moved(12), moved(13)],
+                    [moved(12, iterations=29), moved(13, iterations=31)]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("w a J=12: ") and out[0].endswith("iterations -1 against golden")
     assert out[1].startswith("w a J=13: ") and out[1].endswith("iterations +1 against golden")
-    assert ("2 differing levels reached share >= 1 under the change (1 with fewer iterations "
-            "than golden, 1 with more, 0 with as many), 0 more were at share >= 1 at the parent"
-            in out)
+    assert "0 differing levels newly over the gate, 0 more were over it at the parent" in out
+
+
+@pytest.mark.parametrize("level", [moved(13, iterations=32), moved(13, converged=False)],
+                         ids=["share", "unconverged"])
+def test_exits_2_when_a_level_is_newly_over_the_gate(monkeypatch, capsys, level):
+    assert run_main(monkeypatch, [moved(12), moved(13)], [moved(12), level]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert "1 differing levels newly over the gate, 0 more were over it at the parent" in out
+    assert out[-2].startswith("newly over the gate: a J=13 (")
+
+
+def test_exits_3_when_a_checkout_cannot_run_its_studies(tmp_path, capsys):
+    # Not 1: a crash must not read as numbers that differ within the gate.
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "__init__.py").write_text("raise ImportError('broken checkout')\n")
+    with pytest.raises(SystemExit) as exc:
+        same_numbers.run_all(tmp_path)
+    assert exc.value.code == 3
+    assert "running the studies exited 1" in capsys.readouterr().err
 
 
 def test_summary_of_no_differing_level():
     assert same_numbers.summary([]) == ["worst errors share none", "worst rates share none",
                                         "worst iterations share none",
-                                        "0 differing levels reached share >= 1 under the change "
-                                        "(0 with fewer iterations than golden, 0 with more, 0 "
-                                        "with as many), 0 more were at share >= 1 at the parent"]
+                                        "0 differing levels newly over the gate, 0 more were "
+                                        "over it at the parent"]
 
 
 def test_each_workload_totals_its_pcg_iterations():

@@ -319,7 +319,7 @@ class TestStructure:
                     "print(loaded())\n")
         rule_and_studies = (
             "from templap.quadrature import jacobi_gauss_rule\n"
-            "jacobi_gauss_rule(8, 0.0, -0.5)\n"
+            "jacobi_gauss_rule(8, -0.5)\n"
             "print(loaded())\n"
             "for example, beta, lam, s, s1 in ((1, 0.5, 0.5, 0, 0), (2, 0.5, 0.0, 0, 0),\n"
             "        (3, 1.5, 0.0, 1, 1), (1, 1.0, 3.0, 1, 1), (2, 1.0, 3.0, 0, 1),\n"

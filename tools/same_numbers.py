@@ -16,14 +16,18 @@ from the change checkout (a share of 1 is the benchmark gate's limit), and
 the parent's share of that field beside it, and the level's signed
 iteration change against golden.  The summary gives, over the differing
 levels, the worst share of each gated group (errors, rates, iterations)
-with its level and field, and the number of levels that reached a share of
-1 or more under the change: some field at 1 or more and above the parent's
-share of it, split into levels with fewer iterations than golden, with
-more, and with as many.  Levels that sat at 1 or more at the parent and got
-no further are counted apart.  Last come each workload's total PCG
-iterations over its studies, for the parent and the change: the
-benchmark's ``pcg_iters`` metric.  Exits 1 on any difference, 0 when every
-level is equal.  Standard library only.
+with its level and field, and the verdict: the levels newly over the gate,
+each with its reasons.  A level is newly over the gate when some gated
+field's share is above 1 (the gate passes a share of 1) and above the
+parent's share of that field, or when its solve stopped unconverged where
+the parent's converged.  Levels over the gate at the parent that got no
+further are counted apart.  Last come each workload's total PCG iterations
+over its studies, for the parent and the change: the benchmark's
+``pcg_iters`` metric.  Exits 2 when some level is newly over the gate, 1
+when numbers differ within the gate, 0 when every level is equal, and 3
+when a checkout's studies cannot be run or the comparison itself fails (so
+that no crash reads as a difference within the gate).  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import json
 import math
 import subprocess
 import sys
+import traceback
 from pathlib import Path
 
 # Runs inside the checkout: one JSON object with the checkout's golden
@@ -57,7 +62,8 @@ def run_all(checkout: Path) -> dict:
                           stdout=subprocess.PIPE, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise SystemExit(f"{checkout}: running the studies exited {proc.returncode}")
+        print(f"{checkout}: running the studies exited {proc.returncode}", file=sys.stderr)
+        raise SystemExit(3)
     return json.loads(lines[-1])
 
 
@@ -128,16 +134,26 @@ def gate_share(level: dict, golden: list | None, tolerances: dict) -> tuple[floa
     return shares[field], field
 
 
+def over_gate(shares: dict | None, before: dict | None, unconverged: bool) -> list[str]:
+    """Why a level is newly over the golden gate; empty when it is not.
+
+    ``shares`` and ``before`` are the level's gate_shares under the change
+    and at the parent (None without a golden value); ``unconverged`` is true
+    when the change's solve stopped unconverged and the parent's did not.
+    """
+    why = [f"{f} share {v:.3f}, parent {before[f]:.3f}" for f, v in (shares or {}).items()
+           if v > 1.0 and v > before[f]]
+    return why + ["unconverged"] * unconverged
+
+
 def summary(differing: list) -> list[str]:
     """Summary lines for the differing levels.
 
-    Each level is a (label, gate_shares, parent's gate_shares,
-    iteration_change) tuple.  One line per gated group with its worst
-    share, the level and the field, then the number of levels that reached
-    a share of 1 or more under the change (some field at 1 or more and
-    above the parent's share of it), split by the sign of their iteration
-    change against golden, and the number of other levels at 1 or more,
-    which the parent shares.
+    Each level is a (label, gate_shares, parent's gate_shares, over_gate)
+    tuple.  One line per gated group with its worst share, the level and the
+    field, then the number of levels newly over the gate and of those over
+    it at the parent that got no further, then one line per level newly over
+    the gate with its reasons.
     """
     lines = []
     for group, fields in GROUPS.items():
@@ -145,22 +161,12 @@ def summary(differing: list) -> list[str]:
                      if shares is not None for f in fields), default=None)
         lines.append(f"worst {group} share " + ("none" if worst is None else
                      f"{worst[0]:.3f} at {worst[1]} ({worst[2]})"))
-    fewer = more = same = held = 0
-    for _, shares, before, change in differing:
-        if shares is None or max(shares.values()) < 1.0:
-            continue
-        if not any(v >= 1.0 and v > before[f] for f, v in shares.items()):
-            held += 1
-        elif change < 0:
-            fewer += 1
-        elif change > 0:
-            more += 1
-        else:
-            same += 1
-    lines.append(f"{fewer + more + same} differing levels reached share >= 1 under the change "
-                 f"({fewer} with fewer iterations than golden, {more} with more, {same} with "
-                 f"as many), {held} more were at share >= 1 at the parent")
-    return lines
+    over = [(label, why) for label, _, _, why in differing if why]
+    held = sum(1 for _, shares, _, why in differing
+               if not why and shares is not None and max(shares.values()) > 1.0)
+    lines.append(f"{len(over)} differing levels newly over the gate, "
+                 f"{held} more were over it at the parent")
+    return lines + [f"newly over the gate: {label} ({'; '.join(why)})" for label, why in over]
 
 
 def pcg_iters(results: dict) -> dict:
@@ -191,7 +197,7 @@ def main(argv=None) -> int:
     changed = run_all(args.change.resolve())
     change, golden, tolerances = changed["results"], changed["golden"], changed["tolerances"]
     studies = levels = differing = 0
-    moved = []  # (label, gate shares, parent's gate shares, iteration change) per differing level
+    moved = []  # (label, gate shares, parent's gate shares, over_gate) per differing level
     for workload in sorted(parent.keys() | change.keys()):
         par, chg = parent.get(workload, {}), change.get(workload, {})
         for sid in sorted(par.keys() | chg.keys()):
@@ -208,11 +214,11 @@ def main(argv=None) -> int:
                 levels += 1
                 if p != c:
                     differing += 1
+                    shares = gate_shares(c, golden.get(sid), tolerances)
                     before = gate_shares(p, golden.get(sid), tolerances)
                     change_iters = iteration_change(c, golden.get(sid))
-                    moved.append((f"{sid} J={p['J']}",
-                                  gate_shares(c, golden.get(sid), tolerances), before,
-                                  change_iters))
+                    moved.append((f"{sid} J={p['J']}", shares, before,
+                                  over_gate(shares, before, p["converged"] and not c["converged"])))
                     share, field = gate_share(c, golden.get(sid), tolerances)
                     print(f"{workload} {sid} J={p['J']}: largest relative difference "
                           f"{largest_rel_diff(p, c):.3e}, gate share {share:.3f} ({field}), "
@@ -221,8 +227,12 @@ def main(argv=None) -> int:
                              f"{change_iters:+d} against golden"))
     print(f"{studies} studies, {levels} levels compared, {differing} differ")
     print("\n".join(summary(moved) + iteration_lines(parent, change)))
-    return 1 if differing else 0
+    return 2 if any(why for *_, why in moved) else 1 if differing else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except Exception:
+        traceback.print_exc()
+        sys.exit(3)
