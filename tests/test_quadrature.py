@@ -28,6 +28,14 @@ def test_one_point_legendre_is_midpoint():
     np.testing.assert_array_equal(weights, [2.0])
 
 
+@pytest.mark.parametrize("b", [-0.9, -0.5, 0.5, 0.95])
+def test_one_point_rule_is_the_weight_mean(b):
+    # The single node is the mean of x under (1+x)^b, 2 (b+1)/(b+2) - 1.
+    nodes, weights = jacobi_gauss_rule(1, b)
+    assert nodes[0] == pytest.approx(b / (b + 2.0), rel=1e-15)
+    assert weights[0] == pytest.approx(2.0 ** (b + 1.0) / (b + 1.0), rel=1e-15)
+
+
 def test_weight_sum_matches_zeroth_moment():
     for b in (0.0, -0.7, 0.5, 0.9):
         _, weights = jacobi_gauss_rule(16, b)
@@ -71,6 +79,17 @@ def test_invalid_arguments():
         jacobi_gauss_rule(0, 0.0)
     with pytest.raises(ValueError):
         jacobi_gauss_rule(4, -1.0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_half_power_rule_folds_legendre(n):
+    # x = 2t^2 - 1 maps (1+x)^(-1/2) dx to 2 sqrt(2) dt on t in [-1, 1], an even
+    # integrand for f(x), so the n-point rule is the positive half of the
+    # 2n-point Gauss-Legendre rule, folded.
+    t, w = np.polynomial.legendre.leggauss(2 * n)
+    nodes, weights = jacobi_gauss_rule.__wrapped__(n, -0.5)  # bypass the cache
+    np.testing.assert_allclose(nodes, 2.0 * t[n:] ** 2 - 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(weights, 2.0 * np.sqrt(2.0) * w[n:], rtol=1e-14)
 
 
 @pytest.mark.parametrize("b", [0.5, 0.0, -0.5])
